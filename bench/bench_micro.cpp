@@ -270,14 +270,39 @@ void BM_RoutePackets(benchmark::State& state) {
     packets.push_back({static_cast<VertexId>(rng.next_below(n)),
                        static_cast<VertexId>(rng.next_below(n)),
                        msg1(0, static_cast<std::uint64_t>(i))});
+  RoundBuffer out;
   for (auto _ : state) {
     CliqueEngine engine{{.n = n}};
-    benchmark::DoNotOptimize(route_packets(engine, packets));
+    route_packets_into(engine, packets, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_RoutePackets)->Arg(1000)->Arg(10000);
+
+// The sparse collect-sketches shape: every vertex ships k packets to
+// coordinator 0, sender by sender. Load k*(n-1) on one receiver forces
+// about k waves of ~1k messages each, so this tracks the fixed per-round
+// cost of the relay schedule rather than all-to-all throughput.
+void BM_RouteCoordinatorStar(benchmark::State& state) {
+  const std::uint32_t n = 1024;
+  const auto k = static_cast<std::uint64_t>(state.range(0));
+  std::vector<Packet> packets;
+  packets.reserve(k * (n - 1));
+  for (VertexId v = 1; v < n; ++v)
+    for (std::uint64_t i = 0; i < k; ++i)
+      packets.push_back({v, 0, msg1(0, i)});
+  RoundBuffer out;
+  for (auto _ : state) {
+    CliqueEngine engine{{.n = n}};
+    route_packets_into(engine, packets, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(packets.size()));
+}
+BENCHMARK(BM_RouteCoordinatorStar)->Arg(1)->Arg(16);
 
 void BM_DistributedSort(benchmark::State& state) {
   const std::uint32_t n = 32;

@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
       for (VertexId d = 0; d < n; ++d)
         if (s != d) packets.push_back({s, d, msg1(0, 1)});
     RouteStats stats;
-    route_packets(engine, packets, &stats);
+    RoundBuffer out;
+    route_packets_into(engine, packets, out, &stats);
     uniform.row({bench::fmt(n), bench::fmt(packets.size()),
                  bench::fmt(stats.rounds), bench::fmt(stats.color_batches)});
     bench::expect(stats.rounds <= 8,
@@ -48,7 +49,8 @@ int main(int argc, char** argv) {
       packets.push_back(
           {static_cast<VertexId>(1 + i % (n - 1)), 0, msg1(0, i)});
     RouteStats stats;
-    route_packets(engine, packets, &stats);
+    RoundBuffer out;
+    route_packets_into(engine, packets, out, &stats);
     skew.row({bench::fmt(n), bench::fmt(k), bench::fmt(stats.rounds),
               bench::fmt_double(static_cast<double>(stats.rounds) / k, 2)});
     bench::expect(stats.rounds <= 4 * k + 8,
@@ -66,12 +68,13 @@ int main(int argc, char** argv) {
                          static_cast<VertexId>(rng.next_below(n)),
                          msg1(0, i)});
     CliqueEngine narrow{{.n = n}};
+    RoundBuffer out;
     RouteStats ns;
-    route_packets(narrow, packets, &ns);
+    route_packets_into(narrow, packets, out, &ns);
     CliqueEngine wide_engine{
         {.n = n, .messages_per_link = wide_bandwidth_messages_per_link(n)}};
     RouteStats ws;
-    route_packets(wide_engine, packets, &ws);
+    route_packets_into(wide_engine, packets, out, &ws);
     wide.row({bench::fmt(n), bench::fmt(packets.size()),
               bench::fmt(ns.rounds), bench::fmt(ws.rounds)});
     bench::expect(ws.rounds <= ns.rounds,

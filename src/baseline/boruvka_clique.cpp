@@ -32,6 +32,7 @@ BoruvkaCliqueResult boruvka_clique_msf(CliqueEngine& engine,
   std::vector<VertexId> label(n);
   for (VertexId v = 0; v < n; ++v) label[v] = v;
   UnionFind uf{n};
+  RoundBuffer inbox;  // reused by every phase's MWOE route
 
   for (;;) {
     std::map<VertexId, std::vector<VertexId>> members;
@@ -83,11 +84,11 @@ BoruvkaCliqueResult boruvka_clique_msf(CliqueEngine& engine,
       }
     }
     if (mwoe.empty()) break;  // every remaining component is finished
-    auto inbox = route_packets(engine, mwoe);
+    route_packets_into(engine, mwoe, inbox);
 
     // Local merge at v*.
     std::vector<WeightedEdge> accepted;
-    for (const auto& m : inbox[coordinator]) {
+    for (const Message& m : inbox.inbox(coordinator)) {
       const WeightedEdge e{static_cast<VertexId>(m.word(0)),
                            static_cast<VertexId>(m.word(1)), m.word(2)};
       if (uf.unite(e.u, e.v)) accepted.push_back(e);

@@ -146,7 +146,8 @@ TEST(RoutingDepth, RoundsTrackColorBound) {
                          static_cast<VertexId>(rng.next_below(n)),
                          msg1(0, i)});
     RouteStats stats;
-    route_packets(engine, packets, &stats);
+    RoundBuffer out;
+    route_packets_into(engine, packets, out, &stats);
     const std::uint64_t load =
         std::max(stats.max_send_load, stats.max_recv_load);
     if (load == 0) continue;
@@ -162,13 +163,14 @@ TEST(RoutingDepth, RoundsTrackColorBound) {
 TEST(RoutingDepth, EmptyAndSelfOnlyPackets) {
   CliqueEngine engine{{.n = 4}};
   RouteStats stats;
-  auto inbox = route_packets(engine, {}, &stats);
+  RoundBuffer inbox;
+  route_packets_into(engine, {}, inbox, &stats);
   EXPECT_EQ(stats.rounds, 0u);
   std::vector<Packet> self_only{{1, 1, msg1(0, 5)}, {2, 2, msg1(0, 6)}};
-  inbox = route_packets(engine, self_only, &stats);
+  route_packets_into(engine, self_only, inbox, &stats);
   EXPECT_EQ(stats.rounds, 0u);
-  EXPECT_EQ(inbox[1].size(), 1u);
-  EXPECT_EQ(inbox[2].size(), 1u);
+  EXPECT_EQ(inbox.inbox(1).size(), 1u);
+  EXPECT_EQ(inbox.inbox(2).size(), 1u);
 }
 
 TEST(Kt1AuditDepth, MiddleInstancesCrossTheirOwnPartition) {

@@ -126,7 +126,8 @@ TEST(FailureInjection, OverfullOutboxThrowsNotSilentlyDrops) {
 TEST(FailureInjection, RoutePacketsRejectsBadEndpoints) {
   CliqueEngine engine{{.n = 4}};
   std::vector<Packet> packets{{0, 9, msg0(0)}};
-  EXPECT_THROW(route_packets(engine, packets), std::logic_error);
+  RoundBuffer out;
+  EXPECT_THROW(route_packets_into(engine, packets, out), std::logic_error);
 }
 
 TEST(FailureInjection, MismatchedEngineAndInputSizes) {

@@ -259,6 +259,67 @@ TEST(Wire, PacketizeAndReassemble) {
   }
 }
 
+TEST(Wire, ReassembleAnyOrder) {
+  // Chunks of several (src, copy) sketches fed in order, interleaved
+  // chunk by chunk, and reversed, with a foreign-tag message mixed in,
+  // must all reassemble the same sketches; a missing chunk still throws.
+  Rng rng{17};
+  const std::uint32_t n = 32;
+  const std::uint32_t tag = 0x00050000;
+  const auto words = rng.words(SketchSpace::seed_words_needed(n, 2));
+  const SketchSpace space{n, 2, words};
+  ASSERT_GT(sketch_message_count(space), 1u);
+  Graph g = random_connected(n, 40, rng);
+  std::vector<Packet> packets;
+  for (VertexId v : {3u, 11u, 7u}) {
+    std::vector<Edge> incident;
+    for (VertexId w : g.neighbors(v)) incident.emplace_back(v, w);
+    const auto sketches = space.sketch_vertex(v, incident);
+    for (std::uint32_t j = 0; j < 2; ++j)
+      append_sketch_packets(packets, v, 0, tag, j, sketches[j]);
+  }
+  auto message = [](const Packet& p) {
+    Message m = p.msg;
+    m.src = p.src;
+    m.dst = p.dst;
+    return m;
+  };
+  auto reassemble = [&](const std::vector<Packet>& order) {
+    SketchReassembler reassembler{space, tag};
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      reassembler.add(message(order[i]));
+      if (i == order.size() / 2) {
+        Message foreign = msg1(0x00990000 | (1u << 8), 42);
+        foreign.src = order[i].src;
+        reassembler.add(foreign);
+      }
+    }
+    std::map<std::pair<VertexId, std::uint32_t>, std::vector<std::uint64_t>>
+        out;
+    for (auto& [key, sketch] : reassembler.take())
+      out.emplace(key, sketch.to_words());
+    return out;
+  };
+  const auto in_order = reassemble(packets);
+  ASSERT_EQ(in_order.size(), 6u);
+
+  // Round-robin over the six sketches' chunks, one chunk each in turn.
+  const std::size_t per = sketch_message_count(space);
+  std::vector<Packet> interleaved;
+  for (std::size_t c = 0; c < per; ++c)
+    for (std::size_t s = 0; s < 6; ++s)
+      interleaved.push_back(packets[s * per + c]);
+  EXPECT_EQ(reassemble(interleaved), in_order);
+  const std::vector<Packet> reversed(packets.rbegin(), packets.rend());
+  EXPECT_EQ(reassemble(reversed), in_order);
+
+  std::vector<Packet> missing = interleaved;
+  missing.erase(missing.begin() + 4);
+  SketchReassembler incomplete{space, tag};
+  for (const Packet& p : missing) incomplete.add(message(p));
+  EXPECT_THROW(incomplete.take(), std::logic_error);
+}
+
 TEST(Wire, ForeignTagsIgnored) {
   Rng rng{16};
   const auto words = rng.words(SketchSpace::seed_words_needed(16, 1));

@@ -284,7 +284,9 @@ BENCHMARK(BM_RoutePackets)->Arg(1000)->Arg(10000);
 // The sparse collect-sketches shape: every vertex ships k packets to
 // coordinator 0, sender by sender. Load k*(n-1) on one receiver forces
 // about k waves of ~1k messages each, so this tracks the fixed per-round
-// cost of the relay schedule rather than all-to-all throughput.
+// cost of the relay schedule rather than all-to-all throughput. k = 1456
+// is the engine-mode census at n = 1024 (every sender's sketches make
+// 1,456 packets): 1,455 waves of 65 distinct shapes.
 void BM_RouteCoordinatorStar(benchmark::State& state) {
   const std::uint32_t n = 1024;
   const auto k = static_cast<std::uint64_t>(state.range(0));
@@ -302,7 +304,7 @@ void BM_RouteCoordinatorStar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(packets.size()));
 }
-BENCHMARK(BM_RouteCoordinatorStar)->Arg(1)->Arg(16);
+BENCHMARK(BM_RouteCoordinatorStar)->Arg(1)->Arg(16)->Arg(1456);
 
 void BM_DistributedSort(benchmark::State& state) {
   const std::uint32_t n = 32;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <span>
+#include <unordered_map>
 
 #include "clique/load_profile.hpp"
 #include "clique/trace.hpp"
@@ -238,6 +239,101 @@ void HalveScratch::color(std::uint32_t left_size, std::uint32_t right_size,
   }
 }
 
+/// The colors of each distinct wave shape met in one route, so a route
+/// colors every shape once. A wave's shape is its (src, dst) sequence with
+/// each sender replaced by its rank among the wave's distinct senders in
+/// ascending id order, and each receiver by its rank among the wave's
+/// receivers. This is exact: HalveScratch::color reads vertex ids only
+/// through equality (local ids, parallel runs), the first-appearance order
+/// of local ids and the sorted order of odd vertices split at left_size,
+/// and an order-preserving relabelling of each side keeps all three. So a
+/// wave's colors are a function of its shape, and coloring the shape itself
+/// (left_size = #senders, right_size = #receivers) gives them.
+class WaveMemo {
+ public:
+  explicit WaveMemo(std::uint32_t n)
+      : src_rank_(n, kNone), dst_rank_(n, kNone) {}
+
+  /// Colors of edges[wave[i]] for every i, valid until the next call.
+  std::span<const std::uint32_t> color(
+      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+      std::span<const std::uint32_t> wave, HalveScratch& scratch) {
+    const std::uint64_t hash = canonicalize(edges, wave);
+    const auto begin = static_cast<std::uint32_t>(shape_pool_.size());
+    const auto size = static_cast<std::uint32_t>(shape_.size());
+    const auto [it, fresh] = known_.try_emplace(hash, Shape{begin, size});
+    if (!fresh) {
+      const auto stored = shape_pool_.begin() + it->second.begin;
+      if (std::equal(shape_.begin(), shape_.end(), stored,
+                     stored + it->second.size))
+        return {color_pool_.data() + it->second.begin, it->second.size};
+      // Another shape holds this hash: color this one too, unindexed.
+    }
+    shape_pool_.insert(shape_pool_.end(), shape_.begin(), shape_.end());
+    color_pool_.resize(begin + size);
+    const std::span<std::uint32_t> out{color_pool_.data() + begin, size};
+    scratch.edges = shape_;
+    scratch.color(static_cast<std::uint32_t>(senders_.size()),
+                  static_cast<std::uint32_t>(receivers_.size()), out);
+    return out;
+  }
+
+ private:
+  struct Shape {
+    std::uint32_t begin;  ///< offset into shape_pool_ and color_pool_
+    std::uint32_t size;
+  };
+
+  /// Writes the wave's shape to shape_ (and its sides to senders_ and
+  /// receivers_) and returns a hash of it.
+  std::uint64_t canonicalize(
+      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges,
+      std::span<const std::uint32_t> wave) {
+    senders_.clear();
+    receivers_.clear();
+    for (std::uint32_t e : wave) {
+      const auto [s, d] = edges[e];
+      if (src_rank_[s] == kNone) {
+        src_rank_[s] = 0;
+        senders_.push_back(s);
+      }
+      if (dst_rank_[d] == kNone) {
+        dst_rank_[d] = 0;
+        receivers_.push_back(d);
+      }
+    }
+    std::sort(senders_.begin(), senders_.end());
+    std::sort(receivers_.begin(), receivers_.end());
+    for (std::uint32_t r = 0; r < senders_.size(); ++r)
+      src_rank_[senders_[r]] = r;
+    for (std::uint32_t r = 0; r < receivers_.size(); ++r)
+      dst_rank_[receivers_[r]] = r;
+    shape_.clear();
+    std::uint64_t hash = wave.size();
+    for (std::uint32_t e : wave) {
+      const std::uint32_t s = src_rank_[edges[e].first];
+      const std::uint32_t d = dst_rank_[edges[e].second];
+      shape_.emplace_back(s, d);
+      hash ^= static_cast<std::uint64_t>(s) << 32 | d;
+      hash *= 0x9e3779b97f4a7c15ull;
+      hash ^= hash >> 29;
+    }
+    for (std::uint32_t s : senders_) src_rank_[s] = kNone;
+    for (std::uint32_t d : receivers_) dst_rank_[d] = kNone;
+    return hash;
+  }
+
+  std::vector<std::uint32_t> src_rank_;  ///< vertex -> sender rank or kNone
+  std::vector<std::uint32_t> dst_rank_;  ///< vertex -> receiver rank or kNone
+  std::vector<std::uint32_t> senders_;   ///< this wave's, sorted
+  std::vector<std::uint32_t> receivers_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> shape_;
+  /// First shape stored under each hash; looked up, never iterated.
+  std::unordered_map<std::uint64_t, Shape> known_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> shape_pool_;
+  std::vector<std::uint32_t> color_pool_;  ///< parallel to shape_pool_
+};
+
 }  // namespace
 
 std::vector<std::uint32_t> bipartite_edge_coloring(
@@ -258,6 +354,8 @@ void route_packets_into(CliqueEngine& engine,
   out.reset(n);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   std::vector<std::uint32_t> packet_of_edge;
+  edges.reserve(packets.size());
+  packet_of_edge.reserve(packets.size());
   std::vector<std::uint64_t> send_load(n, 0);
   std::vector<std::uint64_t> recv_load(n, 0);
   check(packets.size() < kNone, "route_packets_into: too many packets");
@@ -340,15 +438,12 @@ void route_packets_into(CliqueEngine& engine,
     // color reuses wave_of's storage, which bucketing no longer needs.
     std::vector<std::uint32_t> color = std::move(wave_of);
     HalveScratch scratch;
-    std::vector<std::uint32_t> wave_color;
+    WaveMemo memo{n};
     std::uint32_t color_base = 0;
     for (std::uint32_t w = 0; w < num_waves; ++w) {
       const std::span<const std::uint32_t> wave{
           by_wave.data() + wave_begin[w], wave_begin[w + 1] - wave_begin[w]};
-      scratch.edges.clear();
-      for (std::uint32_t e : wave) scratch.edges.push_back(edges[e]);
-      wave_color.resize(wave.size());
-      scratch.color(n, n, wave_color);
+      const auto wave_color = memo.color(edges, wave, scratch);
       std::uint32_t used = 0;
       for (std::size_t i = 0; i < wave.size(); ++i) {
         color[wave[i]] = color_base + wave_color[i];

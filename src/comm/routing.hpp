@@ -60,8 +60,12 @@ inline constexpr std::uint64_t kScheduleRounds = 2;
 ///
 /// Host cost of building the schedule (not charged to the model): one
 /// first-fit pass and one counting sort bucket the P relayed packets into
-/// waves, and Euler halving colors each wave with O(P_wave log Δ) edge
-/// visits, on one scratch arena reused across waves. The colors, hence the
+/// waves, and O(P) canonicalization rewrites each wave's (src, dst)
+/// sequence to per-side ranks (senders by ascending id among the wave's
+/// senders, receivers likewise). A wave's colors are a function of that
+/// canonical sequence, so each distinct wave shape is colored once per call
+/// by Euler halving, O(P_shape log Δ) edge visits on one reused scratch
+/// arena, and repeated shapes copy its colors. The colors, hence the
 /// relays, are a function of the packets' (src, dst) sequence alone.
 void route_packets_into(CliqueEngine& engine,
                         const std::vector<Packet>& packets, RoundBuffer& out,

@@ -76,7 +76,7 @@ SketchAndSpanResult sketch_and_span(CliqueEngine& engine,
     for (std::uint32_t j = 0; j < copies; ++j) {
       const auto it = by_key.find({leader, j});
       check(it != by_key.end(), "sketch_and_span: missing sketch at v*");
-      copies_of.push_back(it->second);
+      copies_of.push_back(std::move(it->second));
     }
     per_vertex.push_back(std::move(copies_of));
   }

@@ -134,7 +134,7 @@ SqMstResult sq_mst(CliqueEngine& engine, std::uint32_t n,
         check(it != by_key.end() && it->first.first == sender &&
                   it->first.second == j,
               "sq_mst: missing sketch copy at guardian");
-        copies_of.push_back(it->second);
+        copies_of.push_back(std::move(it->second));
       }
       vertices.push_back(sender);
       per_vertex.push_back(std::move(copies_of));

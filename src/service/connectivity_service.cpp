@@ -822,7 +822,7 @@ SketchForestResult ConnectivityService::recompute_engine_locked() {
       check(it != by_key.end(),
             "ConnectivityService: sketch lost between routing and "
             "reassembly");
-      copies_of.push_back(it->second);
+      copies_of.push_back(std::move(it->second));
     }
     per_vertex.push_back(std::move(copies_of));
   }

@@ -44,27 +44,32 @@ void SketchReassembler::add(const Message& m) {
   if ((m.tag & kBaseMask) != tag_base_) return;
   const std::uint32_t copy = (m.tag >> kCopyShift) & 0xff;
   const std::uint32_t chunk = m.tag & kChunkMask;
-  const auto key = std::make_pair(m.src, copy);
-  auto& buffer = buffers_[key];
-  if (buffer.empty()) buffer.assign(space_->sketch_words(), 0);
+  const Key key{m.src, copy};
+  if (last_ == nullptr || key != last_key_) {
+    last_ = &slots_[key];
+    last_key_ = key;
+    if (last_->words.empty()) last_->words.assign(space_->sketch_words(), 0);
+  }
+  std::vector<std::uint64_t>& buffer = last_->words;
   const std::size_t begin = static_cast<std::size_t>(chunk) * kMaxWords;
   check(begin + m.count <= buffer.size(),
         "SketchReassembler: chunk outside sketch bounds");
   for (std::size_t i = 0; i < m.count; ++i) buffer[begin + i] = m.words[i];
-  received_[key] += m.count;
+  last_->received += m.count;
 }
 
 std::map<std::pair<VertexId, std::uint32_t>, L0Sketch>
 SketchReassembler::take() {
-  std::map<std::pair<VertexId, std::uint32_t>, L0Sketch> out;
-  for (auto& [key, buffer] : buffers_) {
-    check(received_.at(key) == space_->sketch_words(),
+  std::map<Key, L0Sketch> out;
+  for (auto& [key, slot] : slots_) {
+    check(slot.received == space_->sketch_words(),
           "SketchReassembler: incomplete sketch");
-    out.emplace(key,
-                L0Sketch::from_words(space_->family(key.second), buffer));
+    out.emplace_hint(out.end(), key,
+                     L0Sketch::from_words(space_->family(key.second),
+                                          slot.words));
   }
-  buffers_.clear();
-  received_.clear();
+  slots_.clear();
+  last_ = nullptr;
   return out;
 }
 

@@ -33,24 +33,21 @@ namespace {
 
 // --- Engine round throughput: delivery-mode scaling (the tentpole metric) --
 //
-// Three modes isolate the two hot-path levers:
-//   serial           threads=1, legacy 48-byte Message layout
-//   parallel         threads=0 (auto lanes), legacy layout
-//   parallel+packed  threads=0, packed wire format (the default config)
+// Two modes isolate the threading lever:
+//   serial    threads=1
+//   parallel  threads=0 (auto lanes, the default config)
 // The grid runs n up to 4096 so the messages/sec column exposes cache-
-// footprint cliffs (the pre-packing engine degraded monotonically from
-// n=256 on; the packed format's ~6x smaller arena pushes the cliff out).
+// footprint cliffs (the packed arena crosses the LLC between n=2048 and
+// n=4096, where cache-blocked delivery takes over).
 
 struct EngineMode {
   const char* name;
   std::uint32_t threads;
-  bool packed;
 };
 
 inline constexpr EngineMode kEngineModes[] = {
-    {"serial", 1, false},
-    {"parallel", 0, false},
-    {"parallel+packed", 0, true},
+    {"serial", 1},
+    {"parallel", 0},
 };
 
 struct EngineBenchRow {
@@ -61,7 +58,7 @@ struct EngineBenchRow {
 };
 
 EngineBenchRow measure_engine_round(std::uint32_t n, const EngineMode& mode) {
-  CliqueEngine engine{{.n = n, .threads = mode.threads, .packed = mode.packed}};
+  CliqueEngine engine{{.n = n, .threads = mode.threads}};
   const auto all_to_all = [n](VertexId u, Outbox& out) {
     for (VertexId v = 0; v < n; ++v)
       if (v != u) out.send(v, msg1(0, u));
@@ -119,8 +116,7 @@ void engine_round_table() {
 void BM_EngineRoundArena(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto threads = static_cast<std::uint32_t>(state.range(1));
-  const bool packed = state.range(2) != 0;
-  CliqueEngine engine{{.n = n, .threads = threads, .packed = packed}};
+  CliqueEngine engine{{.n = n, .threads = threads}};
   const auto all_to_all = [n](VertexId u, Outbox& out) {
     for (VertexId v = 0; v < n; ++v)
       if (v != u) out.send(v, msg1(0, u));
@@ -132,11 +128,9 @@ void BM_EngineRoundArena(benchmark::State& state) {
                           (n - 1));
 }
 BENCHMARK(BM_EngineRoundArena)
-    ->Args({512, 1, 0})
-    ->Args({512, 1, 1})
-    ->Args({1024, 1, 0})
-    ->Args({1024, 1, 1})
-    ->Args({1024, 0, 1});
+    ->Args({512, 1})
+    ->Args({1024, 1})
+    ->Args({1024, 0});
 
 void BM_EngineFusedWindow(benchmark::State& state) {
   // k fused static rounds vs k generic rounds of the same schedule: the

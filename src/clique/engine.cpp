@@ -83,9 +83,10 @@ CliqueEngine::CliqueEngine(const EngineConfig& config)
   if (config.messages_per_link > kUsedCountMask)
     throw InvalidArgument(
         "CliqueEngine: per-link budget exceeds the 2^24-1 counter range");
-  // The packed route sidecar holds destinations in 26 bits; beyond that
-  // (n > 2^26, far past any simulable all-to-all) deliver unpacked.
-  if (config_.n > packed::kRouteMaxDst + 1) config_.packed = false;
+  if (config.n > kMaxEngineN)
+    throw InvalidArgument(
+        "CliqueEngine: n exceeds kMaxEngineN (2^26, the packed route's "
+        "destination range)");
   src_w_ = packed::src_width(config.n);
 }
 
@@ -118,10 +119,8 @@ void CliqueEngine::run_shard(Shard& shard, std::span<const VertexId> senders,
                              std::size_t begin, std::size_t end,
                              std::uint32_t rounds, const FusedSend& send,
                              bool profiled) {
-  const bool packed = config_.packed;
   const std::size_t n = config_.n;
   const std::size_t cells = static_cast<std::size_t>(rounds) * n;
-  shard.buffer.clear();
   shard.bytes.clear();
   shard.route.clear();
   shard.error = nullptr;
@@ -146,13 +145,12 @@ void CliqueEngine::run_shard(Shard& shard, std::span<const VertexId> senders,
   if (profiled)
     std::fill(shard.dst_words.begin(), shard.dst_words.begin() + cells, 0);
   for (std::uint32_t r = 0; r < rounds; ++r) {
-    shard.seg_msg[r] = packed ? shard.route.size() : shard.buffer.size();
+    shard.seg_msg[r] = shard.route.size();
     shard.seg_byte[r] = shard.bytes.size();
     const std::size_t cbase = static_cast<std::size_t>(r) * n;
     for (std::size_t pos = begin; pos < end; ++pos) {
       const VertexId u = senders[pos];
-      const std::size_t before =
-          packed ? shard.route.size() : shard.buffer.size();
+      const std::size_t before = shard.route.size();
       const std::size_t bytes_before = shard.bytes.size();
       const std::uint64_t words_before = shard.round_words[r];
       Outbox out{u,
@@ -160,9 +158,8 @@ void CliqueEngine::run_shard(Shard& shard, std::span<const VertexId> senders,
                  config_.messages_per_link,
                  src_w_,
                  ++shard.epoch,
-                 packed ? nullptr : &shard.buffer,
-                 packed ? &shard.bytes : nullptr,
-                 packed ? &shard.route : nullptr,
+                 &shard.bytes,
+                 &shard.route,
                  shard.used.data(),
                  &shard.touched,
                  shard.dst_tally.data() + cbase,
@@ -175,36 +172,24 @@ void CliqueEngine::run_shard(Shard& shard, std::span<const VertexId> senders,
         shard.error_round = r;
         shard.error_pos = pos;
         // Drop the offending partial outbox and its eager tallies.
-        if (packed) {
-          std::size_t p = bytes_before;
-          for (std::size_t i = before; i < shard.route.size(); ++i) {
-            const packed::Route& e = shard.route[i];
-            const std::uint32_t cnt =
-                packed::record_count(shard.bytes.data() + p);
-            shard.dst_tally[cbase + e.dst()] -=
-                (std::uint64_t{1} << kTallyCountShift) | e.len();
-            shard.round_words[r] -= cnt;
-            if (profiled) shard.dst_words[cbase + e.dst()] -= cnt;
-            p += e.len();
-          }
-          shard.route.resize(before);
-          shard.bytes.truncate(bytes_before);
-        } else {
-          for (std::size_t i = before; i < shard.buffer.size(); ++i) {
-            const Message& m = shard.buffer[i];
-            shard.dst_tally[cbase + m.dst] -=
-                std::uint64_t{1} << kTallyCountShift;
-            shard.round_words[r] -= m.count;
-            if (profiled) shard.dst_words[cbase + m.dst] -= m.count;
-          }
-          shard.buffer.resize(before);
+        std::size_t p = bytes_before;
+        for (std::size_t i = before; i < shard.route.size(); ++i) {
+          const packed::Route& e = shard.route[i];
+          const std::uint32_t cnt =
+              packed::record_count(shard.bytes.data() + p);
+          shard.dst_tally[cbase + e.dst()] -=
+              (std::uint64_t{1} << kTallyCountShift) | e.len();
+          shard.round_words[r] -= cnt;
+          if (profiled) shard.dst_words[cbase + e.dst()] -= cnt;
+          p += e.len();
         }
+        shard.route.resize(before);
+        shard.bytes.truncate(bytes_before);
         shard.touched.clear();
         return;
       }
       if (profiled) {
-        shard.sender_msgs.push_back(
-            (packed ? shard.route.size() : shard.buffer.size()) - before);
+        shard.sender_msgs.push_back(shard.route.size() - before);
         shard.sender_words.push_back(shard.round_words[r] - words_before);
         // used[] needs no re-zero: the next sender's epoch invalidates every
         // entry in O(1). Only the per-link maximum walks this sender's
@@ -218,7 +203,7 @@ void CliqueEngine::run_shard(Shard& shard, std::span<const VertexId> senders,
       }
     }
   }
-  shard.seg_msg[rounds] = packed ? shard.route.size() : shard.buffer.size();
+  shard.seg_msg[rounds] = shard.route.size();
   shard.seg_byte[rounds] = shard.bytes.size();
 }
 
@@ -255,7 +240,7 @@ const RoundBuffer& CliqueEngine::fused_rounds_of_arena(
   return run_window(senders, rounds, send);
 }
 
-/// Cache-blocked placement (packed arenas beyond the LLC): pass 1 appends
+/// Cache-blocked placement (arenas beyond the LLC): pass 1 appends
 /// each shard's records, in order, into per-(shard, destination-block)
 /// staging streams — sequential writes; pass 2 places one block at a time,
 /// shards in order, so every arena cacheline is written while the block is
@@ -353,7 +338,6 @@ const RoundBuffer& CliqueEngine::run_window(std::span<const VertexId> senders,
   check(rounds >= 1, "fused_rounds: need at least one round");
   validate_senders(senders);
   const std::size_t num_senders = senders.size();
-  const bool packed = config_.packed;
   const std::uint32_t k = rounds;
 
   // Serial fallback: observers must see the exact serial interleaving, and
@@ -409,14 +393,10 @@ const RoundBuffer& CliqueEngine::run_window(std::span<const VertexId> senders,
   // Observer replay in delivery order (serial path only — see above).
   if (observer_) {
     const Shard& sh = shards_[0];
-    if (packed) {
-      std::size_t pos = 0;
-      for (const packed::Route& e : sh.route) {
-        observer_(packed::record_src(sh.bytes.data() + pos, src_w_), e.dst());
-        pos += e.len();
-      }
-    } else {
-      for (const Message& m : sh.buffer) observer_(m.src, m.dst);
+    std::size_t pos = 0;
+    for (const packed::Route& e : sh.route) {
+      observer_(packed::record_src(sh.bytes.data() + pos, src_w_), e.dst());
+      pos += e.len();
     }
   }
 
@@ -424,9 +404,9 @@ const RoundBuffer& CliqueEngine::run_window(std::span<const VertexId> senders,
   // totals, then a stable placement pass. Shards are contiguous sender
   // ranges visited in order, so inboxes come out in (sender id, submission
   // order) per sub-round — identical to the serial engine for every lane
-  // count, packed or not.
+  // count.
   const std::size_t n = config_.n;
-  arena_.reset(config_.n, k, packed);
+  arena_.reset(config_.n, k, /*packed=*/true);
   round_msgs_.assign(k, 0);
   round_word_totals_.assign(k, 0);
   std::uint64_t message_count = 0;
@@ -454,10 +434,10 @@ const RoundBuffer& CliqueEngine::run_window(std::span<const VertexId> senders,
                 "message count");
 
   const std::size_t buckets = n * k;
-  if (packed && arena_.total_bytes() >= kBlockedDeliveryMinBytes) {
+  if (arena_.total_bytes() >= kBlockedDeliveryMinBytes) {
     place_blocked(lanes, k);
-  } else if (packed) {
-    // Direct packed placement through per-(shard, bucket) byte cursors.
+  } else {
+    // Direct placement through per-(shard, bucket) byte cursors.
     for (unsigned s = 0; s < lanes; ++s)
       if (shards_[s].cursor.size() < buckets)
         shards_[s].cursor.resize(buckets);
@@ -487,41 +467,6 @@ const RoundBuffer& CliqueEngine::run_window(std::span<const VertexId> senders,
                               shard.bytes.data() + pos, e.len());
           shard.cursor[b] += e.len();
           pos += e.len();
-        }
-      }
-    };
-    if (lanes == 1)
-      place_job(0);
-    else
-      pool_->run(lanes, place_job);
-  } else {
-    // Legacy unpacked placement: 48-byte Message slots via slot cursors.
-    for (unsigned s = 0; s < lanes; ++s)
-      if (shards_[s].cursor.size() < buckets)
-        shards_[s].cursor.resize(buckets);
-    for (VertexId d = 0; d < n; ++d)
-      for (std::uint32_t r = 0; r < k; ++r) {
-        const std::size_t rc = static_cast<std::size_t>(r) * n + d;
-        const std::size_t b = static_cast<std::size_t>(d) * k + r;
-        std::size_t at = arena_.offset(b);
-        for (unsigned s = 0; s < lanes; ++s) {
-          shards_[s].cursor[b] = at;
-          at += shards_[s].dst_tally[rc] >> kTallyCountShift;
-        }
-        CLIQUE_ASSERT(at == arena_.offset(b + 1),
-                      "round merge: per-shard cursors must tile bucket b "
-                      "exactly");
-      }
-    Message* const slots = arena_.data();
-    const auto place_job = [&](unsigned s) {
-      Shard& shard = shards_[s];
-      for (std::uint32_t r = 0; r < k; ++r) {
-        for (std::size_t i = shard.seg_msg[r]; i < shard.seg_msg[r + 1];
-             ++i) {
-          const Message& m = shard.buffer[i];
-          CLIQUE_ASSERT(m.dst < config_.n,
-                        "round merge: shard message destination out of range");
-          slots[shard.cursor[static_cast<std::size_t>(m.dst) * k + r]++] = m;
         }
       }
     };
@@ -575,7 +520,7 @@ const RoundBuffer& CliqueEngine::run_window(std::span<const VertexId> senders,
         if (recv_msgs > 0) load_->add_received(d, recv_msgs, recv_words);
       }
       if (load_->tracks_links()) {
-        const Message* const all = arena_.data();  // decodes packed arenas
+        const Message* const all = arena_.data();  // decodes the arena
         for (VertexId d = 0; d < n; ++d) {
           const std::size_t b = static_cast<std::size_t>(d) * k + r;
           for (std::size_t i = arena_.offset(b); i < arena_.offset(b + 1);
@@ -596,22 +541,11 @@ const RoundBuffer& CliqueEngine::run_window(std::span<const VertexId> senders,
   tm_rounds.add(k);
   tm_messages.add(message_count);
   tm_words.add(window_words);
-  if (packed) tm_packed_bytes.add(arena_.total_bytes());
+  tm_packed_bytes.add(arena_.total_bytes());
   tm_windows.add();
   if (k > 1) tm_fused_windows.add();
   (lanes > 1 ? tm_parallel_windows : tm_serial_windows).add();
   return arena_;
-}
-
-std::vector<std::vector<Message>> CliqueEngine::round(
-    const std::function<void(VertexId, Outbox&)>& send) {
-  return round_arena(send).to_vectors();
-}
-
-std::vector<std::vector<Message>> CliqueEngine::round_of(
-    const std::vector<VertexId>& senders,
-    const std::function<void(VertexId, Outbox&)>& send) {
-  return round_of_arena({senders.data(), senders.size()}, send).to_vectors();
 }
 
 void CliqueEngine::skip_silent_rounds(std::uint64_t k) {

@@ -17,8 +17,9 @@
 // The destination is NOT stored: records live in per-destination buckets
 // (the arena) or carry a {dst, len} sidecar (shard route entries), so dst
 // is implied by position. Decode restores a bit-identical Message — width
-// codes cover the full 64-bit range, so packed vs unpacked delivery is
-// byte-identical (pinned by determinism_test).
+// codes cover the full 64-bit range, and words past count decode as zero
+// (determinism_test pins delivery against a reference built from the send
+// schedule).
 //
 // Codec I/O uses single unaligned 8-byte loads/stores (memcpy, which GCC
 // and Clang lower to one mov) with variable cursor advance; buffers
@@ -180,8 +181,8 @@ inline std::size_t decode(const std::uint8_t* p, std::uint32_t src_w,
 /// headers. Packed into 4 bytes — record lengths fit 6 bits
 /// (kMaxRecordBytes == 41), leaving 26 bits of destination — because the
 /// placement pass streams this sidecar once per record and the 8-byte
-/// layout doubled its share of the merge's memory traffic. Engines with
-/// n > kRouteMaxDst + 1 fall back to unpacked delivery (CliqueEngine ctor).
+/// layout doubled its share of the merge's memory traffic. This caps an
+/// engine at kRouteMaxDst + 1 nodes (kMaxEngineN, clique/engine.hpp).
 inline constexpr std::uint32_t kRouteLenBits = 6;
 inline constexpr std::uint32_t kRouteMaxDst = (1u << (32 - kRouteLenBits)) - 1;
 static_assert(kMaxRecordBytes < (1u << kRouteLenBits),

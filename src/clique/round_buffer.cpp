@@ -12,7 +12,6 @@ void RoundBuffer::reset(std::uint32_t n, std::uint32_t rounds, bool packed) {
   committed_ = false;
   decoded_ = false;
   src_width_ = n > 0 ? packed::src_width(n) : 1;
-  slots_.clear();
   const std::size_t buckets = static_cast<std::size_t>(n) * rounds;
   offsets_.assign(buckets + 1, 0);
   if (packed_)
@@ -22,18 +21,20 @@ void RoundBuffer::reset(std::uint32_t n, std::uint32_t rounds, bool packed) {
 }
 
 void RoundBuffer::add_count(VertexId dst, std::size_t k) {
-  CLIQUE_DCHECK(!committed_,
-                "RoundBuffer::add_count: counts already committed");
+  CLIQUE_DCHECK(!committed_ && !packed_,
+                "RoundBuffer::add_count: counts already committed or arena "
+                "packed");
   CLIQUE_DCHECK(dst < n_, "RoundBuffer::add_count: destination out of range");
   offsets_[static_cast<std::size_t>(dst) * rounds_ + 1] += k;
 }
 
 void RoundBuffer::add_bucket(std::size_t b, std::size_t msgs,
                              std::size_t bytes) {
-  CLIQUE_DCHECK(!committed_ && b + 1 < offsets_.size(),
-                "RoundBuffer::add_bucket: committed or bucket out of range");
+  CLIQUE_DCHECK(!committed_ && packed_ && b + 1 < offsets_.size(),
+                "RoundBuffer::add_bucket: committed, not packed, or bucket "
+                "out of range");
   offsets_[b + 1] += msgs;
-  if (packed_) byte_offsets_[b + 1] += bytes;
+  byte_offsets_[b + 1] += bytes;
 }
 
 void RoundBuffer::commit_counts() {
@@ -49,14 +50,14 @@ void RoundBuffer::commit_counts() {
     const std::size_t need = byte_offsets_.back() + packed::kBufferSlack;
     if (bytes_.size() < need) bytes_.resize(need);
   } else {
-    slots_.resize(offsets_.back());
+    if (slots_.size() < offsets_.back()) slots_.resize(offsets_.back());
     cursor_.assign(offsets_.begin(), offsets_.end() - 1);
   }
 }
 
 Message& RoundBuffer::place(VertexId dst) {
   CLIQUE_DCHECK(committed_ && !packed_,
-                "RoundBuffer::place: commit_counts first (unpacked mode)");
+                "RoundBuffer::place: commit_counts first (Message slots)");
   CLIQUE_DCHECK(dst < n_, "RoundBuffer::place: destination out of range");
   const std::size_t b = static_cast<std::size_t>(dst) * rounds_;
   std::size_t& at = cursor_[b];
@@ -68,7 +69,7 @@ Message& RoundBuffer::place(VertexId dst) {
 void RoundBuffer::decode_all() const {
   // Driver-thread-only (documented in the header): inbox spans handed out
   // before this ran do not exist — the first access runs it.
-  slots_.resize(offsets_.back());
+  if (slots_.size() < offsets_.back()) slots_.resize(offsets_.back());
   const std::size_t buckets = static_cast<std::size_t>(n_) * rounds_;
   for (std::size_t b = 0; b < buckets; ++b) {
     const auto v = static_cast<VertexId>(b / rounds_);
@@ -81,15 +82,6 @@ void RoundBuffer::decode_all() const {
                   "tile exactly");
   }
   decoded_ = true;
-}
-
-std::vector<std::vector<Message>> RoundBuffer::to_vectors() const {
-  std::vector<std::vector<Message>> out(n_);
-  for (VertexId v = 0; v < n_; ++v) {
-    const auto in = inbox(v);
-    out[v].assign(in.begin(), in.end());
-  }
-  return out;
 }
 
 }  // namespace ccq

@@ -14,19 +14,26 @@
 // produced. The buffer is reused across rounds: reset() rewinds it without
 // releasing capacity, making steady-state rounds allocation-free.
 //
-// Two storage modes (chosen per reset):
+// Two fill protocols (chosen per reset), one per client:
 //
-//   unpacked  a flat Message arena, filled through place() / data() — the
-//             legacy layout, still used by comm/routing's route_packets_into
-//             and as the packed path's determinism baseline;
-//   packed    a flat byte arena of packed records (clique/packed_message),
-//             filled by the engine through byte cursors. ~3-6x fewer bytes
-//             move per round; records are decoded back into Message form
-//             lazily, on the first inbox()/data()/to_vectors() access — a
-//             round whose inboxes are never read (acks, fixed-schedule
-//             phases) never pays the decode. Decode-on-access mutates
-//             internal state and is DRIVER-THREAD-ONLY, like every other
-//             phase transition of this class.
+//   Message slots  add_count() / place() fill a flat Message arena —
+//                  comm/routing's route_packets_into, which builds each
+//                  relay round's inboxes itself;
+//   packed bytes   add_bucket() / byte_data() fill a flat byte arena of
+//                  packed records (clique/packed_message) through the
+//                  engine's byte cursors. Records are decoded back into
+//                  Message form lazily, on the first inbox()/data() access —
+//                  a round whose inboxes are never read (acks,
+//                  fixed-schedule phases) never pays the decode.
+//                  Decode-on-access mutates internal state and is
+//                  DRIVER-THREAD-ONLY, like every other phase transition of
+//                  this class.
+//
+// Both arenas are grow-only: reset() keeps their storage, and every slot
+// and byte a round announces is overwritten before it is read (place()
+// must fill every announced slot; packed::decode writes every Message
+// field, the zeroed words past count included), so no round pays to
+// value-initialize the arena again.
 //
 // The arena also generalizes to `rounds` fused sub-rounds (superstep
 // fusion): buckets are keyed (destination, sub-round) with sub-rounds
@@ -35,8 +42,7 @@
 // one sub-round. The single-round engine path is the rounds == 1 case.
 //
 // inbox(v) exposes bucket v as std::span<const Message>, valid until the
-// next reset(). to_vectors() is the compatibility shim for callers still on
-// the vector-of-vectors interface; algorithms migrate incrementally.
+// next reset().
 #pragma once
 
 #include <cstdint>
@@ -57,16 +63,15 @@ class RoundBuffer {
 
   /// Rewind to `n` empty inboxes in the counting phase. Keeps capacity.
   /// `rounds` fused sub-rounds (1 = a normal round); `packed` selects the
-  /// byte-arena storage mode.
+  /// packed-byte fill protocol (the engine's), otherwise Message slots.
   void reset(std::uint32_t n, std::uint32_t rounds = 1, bool packed = false);
 
-  /// Counting phase: announce `k` future messages for `dst` (sub-round 0 —
-  /// the legacy single-round entry point used by comm/routing).
+  /// Counting phase, Message slots: announce `k` future messages for `dst`
+  /// (sub-round 0 — the single-round form comm/routing uses).
   void add_count(VertexId dst, std::size_t k = 1);
 
-  /// Counting phase, engine form: announce `msgs` messages totalling
+  /// Counting phase, packed bytes: announce `msgs` messages totalling
   /// `bytes` packed bytes for bucket `b` = dst * rounds + sub-round.
-  /// (`bytes` is ignored in unpacked mode.)
   void add_bucket(std::size_t b, std::size_t msgs, std::size_t bytes);
 
   /// Freeze counts into bucket offsets and open the placement phase. Every
@@ -74,10 +79,9 @@ class RoundBuffer {
   /// cursors the engine derives from offset()).
   void commit_counts();
 
-  /// Placement phase (unpacked mode): the next free slot of `dst`'s bucket
+  /// Placement phase (Message slots): the next free slot of `dst`'s bucket
   /// in sub-round 0. Filling in a stable order (sender id, then submission
-  /// order) reproduces the delivery order of the legacy nested-vector
-  /// inboxes.
+  /// order) reproduces the engine's delivery order.
   Message& place(VertexId dst);
 
   std::uint32_t n() const { return n_; }
@@ -122,8 +126,8 @@ class RoundBuffer {
   /// Start of bucket `b` in the packed byte arena.
   std::size_t byte_offset(std::size_t b) const { return byte_offsets_[b]; }
 
-  /// Unpacked placement target (decodes first if the arena is packed, so
-  /// load-profile link audits can walk delivered messages either way).
+  /// All delivered messages, bucket-sorted (decodes first if the arena is
+  /// packed, so load-profile link audits can walk them).
   Message* data() {
     if (packed_ && !decoded_) decode_all();
     return slots_.data();
@@ -132,9 +136,6 @@ class RoundBuffer {
   /// slack past total_bytes(). Engine-only; records must be written with
   /// packed::copy_record (no slop past each record's true length).
   std::uint8_t* byte_data() { return bytes_.data(); }
-
-  /// Compatibility shim: copy out the legacy vector-of-vectors inboxes.
-  std::vector<std::vector<Message>> to_vectors() const;
 
  private:
   void decode_all() const;
@@ -147,8 +148,9 @@ class RoundBuffer {
   // Decode happens behind const accessors (inbox on a const arena ref);
   // driver-thread-only, like reset/commit.
   mutable bool decoded_{false};
-  mutable std::vector<Message> slots_;  // bucket-sorted messages (unpacked
-                                        // always; packed after decode)
+  mutable std::vector<Message> slots_;  // bucket-sorted messages (slot
+                                        // fill, or packed after decode);
+                                        // grow-only
   std::vector<std::size_t> offsets_;    // counting: offsets_[b+1] = count(b);
                                         // committed: prefix sums, n*rounds+1
   std::vector<std::uint8_t> bytes_;     // packed record arena (grow-only)

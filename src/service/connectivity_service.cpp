@@ -123,8 +123,11 @@ void check_vertex(VertexId v, std::uint32_t n, const char* who) {
 
 ConnectivityService::ConnectivityService(const ServiceConfig& config)
     : config_(config) {
-  if (config_.n < 2)
-    throw ServiceError("ConnectivityService: need n >= 2");
+  // n is checked against the engine's cap here, before any allocation, so
+  // an oversized universe is a ServiceError like every other bad config.
+  if (config_.n < 2 || config_.n > kMaxEngineN)
+    throw ServiceError("ConnectivityService: need 2 <= n <= " +
+                       std::to_string(kMaxEngineN));
   if (config_.buckets == 0)
     throw ServiceError("ConnectivityService: need buckets >= 1");
   if (config_.copies == 0) config_.copies = default_sketch_copies(config_.n);
@@ -133,7 +136,7 @@ ConnectivityService::ConnectivityService(const ServiceConfig& config)
         "ConnectivityService: copies >= 256 exceeds the wire format's "
         "copy-index budget");
   engine_ = std::make_unique<CliqueEngine>(EngineConfig{
-      config_.n, 1, Knowledge::KT1, config_.tuning.threads, true});
+      config_.n, 1, Knowledge::KT1, config_.tuning.threads});
   {
     // Theorem 1 bootstrap: every node ends up holding the same seed words,
     // which is what makes per-vertex sketches addable across nodes.
@@ -165,7 +168,9 @@ ConnectivityService::ConnectivityService(const ServiceSnapshot& snap,
                                          const ServiceTuning& tuning,
                                          RestoreTag)
     : config_{snap.n, snap.seed, snap.copies, snap.buckets, tuning} {
-  if (snap.n < 2) throw ServiceError("snapshot: need n >= 2");
+  if (snap.n < 2 || snap.n > kMaxEngineN)
+    throw ServiceError("snapshot: need 2 <= n <= " +
+                       std::to_string(kMaxEngineN));
   const std::size_t need = SketchSpace::seed_words_needed(
       snap.n, snap.copies, snap.buckets);
   if (snap.seed_words.size() != need)
@@ -174,7 +179,7 @@ ConnectivityService::ConnectivityService(const ServiceSnapshot& snap,
                        " seed words but this geometry consumes " +
                        std::to_string(need));
   engine_ = std::make_unique<CliqueEngine>(EngineConfig{
-      config_.n, 1, Knowledge::KT1, config_.tuning.threads, true});
+      config_.n, 1, Knowledge::KT1, config_.tuning.threads});
   seed_words_ = snap.seed_words;
   space_ = std::make_unique<SketchSpace>(
       config_.n, config_.copies, std::span<const std::uint64_t>{seed_words_},

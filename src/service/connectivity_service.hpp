@@ -123,6 +123,7 @@ struct ServiceTuning {
 /// copies/buckets pin their geometry. Snapshots persist exactly these plus
 /// the derived seed words.
 struct ServiceConfig {
+  /// Universe size, 2..kMaxEngineN (larger throws ServiceError).
   std::uint32_t n{0};
   std::uint64_t seed{0x9e3779b97f4a7c15ULL};
   /// Independent sketch families t (0 = default_sketch_copies(n)).

@@ -1,11 +1,14 @@
 // Parallel execution must be invisible: the engine's threaded round path
 // has to produce bit-identical inboxes, outputs and Metrics to the serial
 // engine (threads = 1) for every lane count. These tests pin that contract
-// on raw rounds and on the two flagship algorithms (GC, Lotker CC-MST).
+// on raw rounds and on the two flagship algorithms (GC, Lotker CC-MST), and
+// pin the packed wire format against a reference delivery built straight
+// from the send schedule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "clique/engine.hpp"
@@ -27,88 +30,6 @@ void expect_same_metrics(const Metrics& a, const Metrics& b) {
   EXPECT_EQ(a.max_messages_in_round, b.max_messages_in_round);
 }
 
-void expect_same_inboxes(const RoundBuffer& a,
-                         const std::vector<std::vector<Message>>& b) {
-  ASSERT_EQ(a.n(), b.size());
-  for (VertexId v = 0; v < a.n(); ++v) {
-    const auto in = a.inbox(v);
-    ASSERT_EQ(in.size(), b[v].size()) << "inbox " << v;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      EXPECT_EQ(in[i].src, b[v][i].src);
-      EXPECT_EQ(in[i].dst, b[v][i].dst);
-      EXPECT_EQ(in[i].tag, b[v][i].tag);
-      ASSERT_EQ(in[i].count, b[v][i].count);
-      for (std::size_t w = 0; w < in[i].count; ++w)
-        EXPECT_EQ(in[i].words[w], b[v][i].words[w]);
-    }
-  }
-}
-
-// A send pattern with skewed per-sender load (sender u sends to u % 7 + 1
-// pseudo-random destinations) so shard buffers have unequal sizes — the
-// stable merge has to get the interleaving right, not just the totals.
-void skewed_send(VertexId u, Outbox& out) {
-  const std::uint32_t fanout = u % 7 + 1;
-  for (std::uint32_t i = 0; i < fanout; ++i) {
-    const VertexId dst = (u * 2654435761u + i * 40503u) % 512;
-    if (dst != u) out.send(dst, msg2(u % 13, u, i));
-  }
-}
-
-TEST(Determinism, ParallelRoundMatchesSerialBitForBit) {
-  // n = 512 >= kParallelMinSenders, so the threads=8 engine actually takes
-  // the sharded path while threads=1 is the legacy serial loop.
-  CliqueEngine serial{{.n = 512, .threads = 1}};
-  CliqueEngine parallel{{.n = 512, .threads = 8}};
-  for (int round = 0; round < 3; ++round) {
-    const auto expected = serial.round(skewed_send);
-    const RoundBuffer& got = parallel.round_arena(skewed_send);
-    expect_same_inboxes(got, expected);
-  }
-  expect_same_metrics(parallel.metrics(), serial.metrics());
-}
-
-TEST(Determinism, ParallelAllToAllMatchesSerial) {
-  CliqueEngine serial{{.n = 512, .threads = 1}};
-  CliqueEngine parallel{{.n = 512, .threads = 8}};
-  const auto all_to_all = [](VertexId u, Outbox& out) {
-    for (VertexId v = 0; v < 512; ++v)
-      if (v != u) out.send(v, msg1(0, u));
-  };
-  const auto expected = serial.round(all_to_all);
-  expect_same_inboxes(parallel.round_arena(all_to_all), expected);
-  expect_same_metrics(parallel.metrics(), serial.metrics());
-  EXPECT_EQ(parallel.metrics().messages, 512ull * 511);
-}
-
-TEST(Determinism, ParallelRoundOfSubsetMatchesSerial) {
-  CliqueEngine serial{{.n = 512, .threads = 1}};
-  CliqueEngine parallel{{.n = 512, .threads = 8}};
-  std::vector<VertexId> senders;
-  for (VertexId u = 0; u < 512; u += 3) senders.push_back(u);
-  const auto expected = serial.round_of(senders, skewed_send);
-  expect_same_inboxes(
-      parallel.round_of_arena({senders.data(), senders.size()}, skewed_send),
-      expected);
-  expect_same_metrics(parallel.metrics(), serial.metrics());
-}
-
-TEST(Determinism, ParallelProtocolErrorMatchesSerial) {
-  // A budget violation must surface as the same ProtocolError whether the
-  // offending sender ran on the main thread or on a worker, and metrics
-  // must stay untouched in both engines.
-  const auto violate = [](VertexId u, Outbox& out) {
-    out.send((u + 1) % 512, msg0(0));
-    if (u == 300) out.send(301, msg0(1));  // second message on link 300->301
-  };
-  CliqueEngine serial{{.n = 512, .threads = 1}};
-  CliqueEngine parallel{{.n = 512, .threads = 8}};
-  EXPECT_THROW(serial.round(violate), ProtocolError);
-  EXPECT_THROW(parallel.round_arena(violate), ProtocolError);
-  expect_same_metrics(parallel.metrics(), serial.metrics());
-  EXPECT_EQ(serial.metrics().rounds, 0u);
-}
-
 void expect_same_arena(const RoundBuffer& a, const RoundBuffer& b) {
   ASSERT_EQ(a.n(), b.n());
   for (VertexId v = 0; v < a.n(); ++v) {
@@ -126,41 +47,178 @@ void expect_same_arena(const RoundBuffer& a, const RoundBuffer& b) {
   }
 }
 
-TEST(Determinism, PackedDeliveryMatchesUnpackedBitForBit) {
-  // The packed wire format is a pure transport change: inboxes (including
-  // the zeroed words beyond count), Metrics, and delivery order must be
-  // identical to the legacy 48-byte layout, serial and sharded alike.
-  for (const std::uint32_t threads : {1u, 8u}) {
-    CliqueEngine unpacked{{.n = 512, .threads = threads, .packed = false}};
-    CliqueEngine packed{{.n = 512, .threads = threads, .packed = true}};
-    for (int round = 0; round < 3; ++round) {
-      const RoundBuffer& a = unpacked.round_arena(skewed_send);
-      const RoundBuffer& b = packed.round_arena(skewed_send);
-      expect_same_arena(a, b);
+// One sender's outbox as plain data: (destination, message) pairs in
+// submission order. Schedules written this way drive the engine (through
+// send_all) and the reference delivery below from the very same sends.
+using Sends = std::vector<std::pair<VertexId, Message>>;
+using Schedule = Sends (*)(VertexId);
+
+void send_all(Schedule schedule, VertexId u, Outbox& out) {
+  for (const auto& [dst, m] : schedule(u)) out.send(dst, m);
+}
+
+// Reference delivery, straight from the model and independent of the wire
+// format: v's inbox holds every message sent to v in sender id order, then
+// submission order, with src/dst filled in and every word past count zero.
+std::vector<std::vector<Message>> reference_inboxes(std::uint32_t n,
+                                                    Schedule schedule) {
+  std::vector<std::vector<Message>> inboxes(n);
+  for (VertexId u = 0; u < n; ++u)
+    for (const auto& [dst, sent] : schedule(u)) {
+      Message m;
+      m.src = u;
+      m.dst = dst;
+      m.tag = sent.tag;
+      m.count = sent.count;
+      for (std::size_t w = 0; w < sent.count; ++w) m.words[w] = sent.words[w];
+      inboxes[dst].push_back(m);
     }
-    expect_same_metrics(packed.metrics(), unpacked.metrics());
+  return inboxes;
+}
+
+void expect_reference_delivery(
+    const RoundBuffer& got, const std::vector<std::vector<Message>>& want) {
+  ASSERT_EQ(got.n(), want.size());
+  for (VertexId v = 0; v < got.n(); ++v) {
+    const auto in = got.inbox(v);
+    ASSERT_EQ(in.size(), want[v].size()) << "inbox " << v;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      EXPECT_EQ(in[i].src, want[v][i].src);
+      EXPECT_EQ(in[i].dst, want[v][i].dst);
+      EXPECT_EQ(in[i].tag, want[v][i].tag);
+      ASSERT_EQ(in[i].count, want[v][i].count);
+      for (std::size_t w = 0; w < kMaxWords; ++w)
+        EXPECT_EQ(in[i].words[w], want[v][i].words[w]);
+    }
+  }
+}
+
+// A send pattern with skewed per-sender load (sender u sends to u % 7 + 1
+// pseudo-random destinations) so shard buffers have unequal sizes — the
+// stable merge has to get the interleaving right, not just the totals.
+Sends skewed_sends(VertexId u) {
+  Sends sends;
+  const std::uint32_t fanout = u % 7 + 1;
+  for (std::uint32_t i = 0; i < fanout; ++i) {
+    const VertexId dst = (u * 2654435761u + i * 40503u) % 512;
+    if (dst != u) sends.emplace_back(dst, msg2(u % 13, u, i));
+  }
+  return sends;
+}
+
+void skewed_send(VertexId u, Outbox& out) { send_all(skewed_sends, u, out); }
+
+TEST(Determinism, ParallelRoundMatchesSerialBitForBit) {
+  // n = 512 >= kParallelMinSenders, so the threads=8 engine actually takes
+  // the sharded path while threads=1 is the legacy serial loop.
+  CliqueEngine serial{{.n = 512, .threads = 1}};
+  CliqueEngine parallel{{.n = 512, .threads = 8}};
+  for (int round = 0; round < 3; ++round) {
+    const RoundBuffer& expected = serial.round_arena(skewed_send);
+    const RoundBuffer& got = parallel.round_arena(skewed_send);
+    expect_same_arena(got, expected);
+  }
+  expect_same_metrics(parallel.metrics(), serial.metrics());
+}
+
+TEST(Determinism, ParallelAllToAllMatchesSerial) {
+  CliqueEngine serial{{.n = 512, .threads = 1}};
+  CliqueEngine parallel{{.n = 512, .threads = 8}};
+  const auto all_to_all = [](VertexId u, Outbox& out) {
+    for (VertexId v = 0; v < 512; ++v)
+      if (v != u) out.send(v, msg1(0, u));
+  };
+  const RoundBuffer& expected = serial.round_arena(all_to_all);
+  expect_same_arena(parallel.round_arena(all_to_all), expected);
+  expect_same_metrics(parallel.metrics(), serial.metrics());
+  EXPECT_EQ(parallel.metrics().messages, 512ull * 511);
+}
+
+TEST(Determinism, ParallelRoundOfSubsetMatchesSerial) {
+  CliqueEngine serial{{.n = 512, .threads = 1}};
+  CliqueEngine parallel{{.n = 512, .threads = 8}};
+  std::vector<VertexId> senders;
+  for (VertexId u = 0; u < 512; u += 3) senders.push_back(u);
+  const RoundBuffer& expected = serial.round_of_arena(senders, skewed_send);
+  expect_same_arena(parallel.round_of_arena(senders, skewed_send), expected);
+  expect_same_metrics(parallel.metrics(), serial.metrics());
+}
+
+TEST(Determinism, ParallelProtocolErrorMatchesSerial) {
+  // A budget violation must surface as the same ProtocolError whether the
+  // offending sender ran on the main thread or on a worker, and metrics
+  // must stay untouched in both engines.
+  const auto violate = [](VertexId u, Outbox& out) {
+    out.send((u + 1) % 512, msg0(0));
+    if (u == 300) out.send(301, msg0(1));  // second message on link 300->301
+  };
+  CliqueEngine serial{{.n = 512, .threads = 1}};
+  CliqueEngine parallel{{.n = 512, .threads = 8}};
+  EXPECT_THROW(serial.round_arena(violate), ProtocolError);
+  EXPECT_THROW(parallel.round_arena(violate), ProtocolError);
+  expect_same_metrics(parallel.metrics(), serial.metrics());
+  EXPECT_EQ(serial.metrics().rounds, 0u);
+}
+
+TEST(Determinism, DeliveryMatchesReferenceBitForBit) {
+  // The packed wire format is a pure transport change: decoded inboxes
+  // (including the zeroed words beyond count), Metrics, and delivery order
+  // must equal the reference, serial and sharded alike.
+  const auto want = reference_inboxes(512, skewed_sends);
+  std::uint64_t messages = 0;
+  std::uint64_t words = 0;
+  for (const auto& inbox : want)
+    for (const Message& m : inbox) {
+      ++messages;
+      words += m.count;
+    }
+  for (const std::uint32_t threads : {1u, 8u}) {
+    CliqueEngine engine{{.n = 512, .threads = threads}};
+    for (int round = 0; round < 3; ++round)
+      expect_reference_delivery(engine.round_arena(skewed_send), want);
+    EXPECT_EQ(engine.metrics().rounds, 3u);
+    EXPECT_EQ(engine.metrics().messages, 3 * messages);
+    EXPECT_EQ(engine.metrics().words, 3 * words);
+  }
+}
+
+Sends width_extremes(VertexId u) {
+  // Messages chosen to hit every width code in one round: zero tags, wide
+  // tags, 0..4 words, 2^8/2^16/2^32 payload boundaries, and a stray word
+  // past count that must not travel.
+  const VertexId dst = (u + 1) % 256;
+  switch (u % 6) {
+    case 0: return {{dst, msg0(0)}};
+    case 1: return {{dst, msg1(0xFFFFFFFFu, ~0ull)}};
+    case 2: return {{dst, msg2(0xFFu, 0x100ull, 0xFFull)}};
+    case 3:
+      return {{dst, msg4(0x10000u, 0xFFFFull, 0x10000ull, 0xFFFFFFFFull,
+                         0x100000000ull)}};
+    case 4: {
+      Message m = msg1(2, 0x7F);
+      m.words[3] = ~0ull;
+      return {{dst, m}};
+    }
+    default: return {{dst, msg1(1, 0)}};
   }
 }
 
 TEST(Determinism, PackedWidthExtremesSurviveDelivery) {
-  // Messages chosen to hit every width code in one round: zero tags, wide
-  // tags, 0..4 words, and 2^8/2^16/2^32 payload boundaries.
-  const auto extremes = [](VertexId u, Outbox& out) {
-    const VertexId dst = (u + 1) % 256;
-    switch (u % 5) {
-      case 0: out.send(dst, msg0(0)); break;
-      case 1: out.send(dst, msg1(0xFFFFFFFFu, ~0ull)); break;
-      case 2: out.send(dst, msg2(0xFFu, 0x100ull, 0xFFull)); break;
-      case 3: out.send(dst, msg4(0x10000u, 0xFFFFull, 0x10000ull,
-                                 0xFFFFFFFFull, 0x100000000ull)); break;
-      default: out.send(dst, msg1(1, 0)); break;
-    }
-  };
-  CliqueEngine unpacked{{.n = 256, .threads = 1, .packed = false}};
-  CliqueEngine packed{{.n = 256, .threads = 1, .packed = true}};
-  expect_same_arena(unpacked.round_arena(extremes),
-                    packed.round_arena(extremes));
-  expect_same_metrics(packed.metrics(), unpacked.metrics());
+  CliqueEngine engine{{.n = 256, .threads = 1}};
+  // A decoded round of all-ones messages first leaves every slot of the
+  // grow-only arena dirty, so the extremes round must overwrite each word
+  // it delivers, the zeroed words past count included.
+  (void)engine
+      .round_arena([](VertexId u, Outbox& out) {
+        out.send((u + 1) % 256, msg4(~0u, ~0ull, ~0ull, ~0ull, ~0ull));
+      })
+      .inbox(0);
+  expect_reference_delivery(
+      engine.round_arena([](VertexId u, Outbox& out) {
+        send_all(width_extremes, u, out);
+      }),
+      reference_inboxes(256, width_extremes));
+  EXPECT_EQ(engine.metrics().messages, 512u);
 }
 
 TEST(Determinism, FusedWindowMatchesUnfusedRounds) {
@@ -184,31 +242,31 @@ TEST(Determinism, FusedWindowMatchesUnfusedRounds) {
   unfused.set_trace(&unfused_trace);
   fused.set_trace(&fused_trace);
 
-  std::vector<std::vector<std::vector<Message>>> unfused_rounds;
-  {
-    TraceScope scope{unfused, "fusion-parity"};
-    for (std::uint32_t r = 0; r < kRounds; ++r)
-      unfused_rounds.push_back(unfused.round(
-          [&](VertexId u, Outbox& out) { schedule(u, r, out); }));
-  }
+  // The fused arena lives in its own engine, so it stays valid while the
+  // unfused engine runs each round and is compared against it.
   const RoundBuffer* arena = nullptr;
   {
     TraceScope scope{fused, "fusion-parity"};
     arena = &fused.fused_rounds_arena(kRounds, schedule);
   }
-
-  for (std::uint32_t r = 0; r < kRounds; ++r) {
-    for (VertexId v = 0; v < kN; ++v) {
-      const auto in = arena->inbox_round(v, r);
-      const auto& expect = unfused_rounds[r][v];
-      ASSERT_EQ(in.size(), expect.size()) << "round " << r << " inbox " << v;
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        EXPECT_EQ(in[i].src, expect[i].src);
-        EXPECT_EQ(in[i].dst, expect[i].dst);
-        EXPECT_EQ(in[i].tag, expect[i].tag);
-        ASSERT_EQ(in[i].count, expect[i].count);
-        for (std::size_t w = 0; w < in[i].count; ++w)
-          EXPECT_EQ(in[i].words[w], expect[i].words[w]);
+  {
+    TraceScope scope{unfused, "fusion-parity"};
+    for (std::uint32_t r = 0; r < kRounds; ++r) {
+      const RoundBuffer& unfused_round = unfused.round_arena(
+          [&](VertexId u, Outbox& out) { schedule(u, r, out); });
+      for (VertexId v = 0; v < kN; ++v) {
+        const auto in = arena->inbox_round(v, r);
+        const auto expect = unfused_round.inbox(v);
+        ASSERT_EQ(in.size(), expect.size())
+            << "round " << r << " inbox " << v;
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          EXPECT_EQ(in[i].src, expect[i].src);
+          EXPECT_EQ(in[i].dst, expect[i].dst);
+          EXPECT_EQ(in[i].tag, expect[i].tag);
+          ASSERT_EQ(in[i].count, expect[i].count);
+          for (std::size_t w = 0; w < in[i].count; ++w)
+            EXPECT_EQ(in[i].words[w], expect[i].words[w]);
+        }
       }
     }
   }
@@ -231,22 +289,21 @@ TEST(Determinism, FusedSubsetWindowMatchesUnfused) {
   };
   CliqueEngine unfused{{.n = kN, .threads = 8}};
   CliqueEngine fused{{.n = kN, .threads = 8}};
-  std::vector<std::vector<std::vector<Message>>> unfused_rounds;
-  for (std::uint32_t r = 0; r < kRounds; ++r)
-    unfused_rounds.push_back(unfused.round_of(
-        senders, [&](VertexId u, Outbox& out) { schedule(u, r, out); }));
-  const RoundBuffer& arena = fused.fused_rounds_of_arena(
-      {senders.data(), senders.size()}, kRounds, schedule);
-  for (std::uint32_t r = 0; r < kRounds; ++r)
+  const RoundBuffer& arena =
+      fused.fused_rounds_of_arena(senders, kRounds, schedule);
+  for (std::uint32_t r = 0; r < kRounds; ++r) {
+    const RoundBuffer& unfused_round = unfused.round_of_arena(
+        senders, [&](VertexId u, Outbox& out) { schedule(u, r, out); });
     for (VertexId v = 0; v < kN; ++v) {
       const auto in = arena.inbox_round(v, r);
-      const auto& expect = unfused_rounds[r][v];
+      const auto expect = unfused_round.inbox(v);
       ASSERT_EQ(in.size(), expect.size()) << "round " << r << " inbox " << v;
       for (std::size_t i = 0; i < in.size(); ++i) {
         EXPECT_EQ(in[i].src, expect[i].src);
         EXPECT_EQ(in[i].tag, expect[i].tag);
       }
     }
+  }
   expect_same_metrics(fused.metrics(), unfused.metrics());
 }
 

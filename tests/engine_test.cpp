@@ -27,18 +27,28 @@ TEST(Engine, ConfigValidation) {
                InvalidArgument);
 }
 
+TEST(Engine, NodeLimitIsExact) {
+  // The constructor allocates nothing (buffers size on the first round),
+  // so both ends of the limit are cheap to construct.
+  const CliqueEngine at_limit{{.n = kMaxEngineN}};
+  EXPECT_EQ(at_limit.n(), kMaxEngineN);
+  EXPECT_THROW(CliqueEngine{EngineConfig{.n = kMaxEngineN + 1}},
+               InvalidArgument);
+}
+
 TEST(Engine, RoundDeliversMessages) {
   CliqueEngine engine{{.n = 4}};
-  auto inbox = engine.round([](VertexId u, Outbox& out) {
+  const RoundBuffer& arena = engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) out.send(3, msg2(7, 10, 20));
   });
-  ASSERT_EQ(inbox[3].size(), 1u);
-  EXPECT_EQ(inbox[3][0].src, 0u);
-  EXPECT_EQ(inbox[3][0].dst, 3u);
-  EXPECT_EQ(inbox[3][0].tag, 7u);
-  EXPECT_EQ(inbox[3][0].word(0), 10u);
-  EXPECT_EQ(inbox[3][0].word(1), 20u);
-  EXPECT_TRUE(inbox[0].empty());
+  ASSERT_EQ(arena.inbox(3).size(), 1u);
+  const Message& m = arena.inbox(3)[0];
+  EXPECT_EQ(m.src, 0u);
+  EXPECT_EQ(m.dst, 3u);
+  EXPECT_EQ(m.tag, 7u);
+  EXPECT_EQ(m.word(0), 10u);
+  EXPECT_EQ(m.word(1), 20u);
+  EXPECT_TRUE(arena.inbox(0).empty());
   EXPECT_EQ(engine.metrics().rounds, 1u);
   EXPECT_EQ(engine.metrics().messages, 1u);
   EXPECT_EQ(engine.metrics().words, 2u);
@@ -46,7 +56,7 @@ TEST(Engine, RoundDeliversMessages) {
 
 TEST(Engine, BandwidthEnforcedPerLink) {
   CliqueEngine engine{{.n = 3}};
-  EXPECT_THROW(engine.round([](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) {
       out.send(1, msg0(1));
       out.send(1, msg0(2));  // second message on the same link: illegal
@@ -57,29 +67,29 @@ TEST(Engine, BandwidthEnforcedPerLink) {
 
 TEST(Engine, WiderBudgetAllowsMore) {
   CliqueEngine engine{{.n = 3, .messages_per_link = 2}};
-  auto inbox = engine.round([](VertexId u, Outbox& out) {
+  const RoundBuffer& arena = engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) {
       out.send(1, msg0(1));
       out.send(1, msg0(2));
     }
   });
-  EXPECT_EQ(inbox[1].size(), 2u);
+  EXPECT_EQ(arena.inbox(1).size(), 2u);
 }
 
 TEST(Engine, DistinctLinksAreIndependent) {
   CliqueEngine engine{{.n = 4}};
-  auto inbox = engine.round([](VertexId u, Outbox& out) {
+  const RoundBuffer& arena = engine.round_arena([](VertexId u, Outbox& out) {
     // Every node sends to every other node: the full n(n-1) pattern.
     for (VertexId v = 0; v < 4; ++v)
       if (v != u) out.send(v, msg1(0, u));
   });
-  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(inbox[v].size(), 3u);
+  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(arena.inbox(v).size(), 3u);
   EXPECT_EQ(engine.metrics().messages, 12u);
 }
 
 TEST(Engine, SelfSendRejected) {
   CliqueEngine engine{{.n = 2}};
-  EXPECT_THROW(engine.round([](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 1) out.send(1, msg0(0));
   }),
                ProtocolError);
@@ -87,7 +97,7 @@ TEST(Engine, SelfSendRejected) {
 
 TEST(Engine, OutOfRangeDestinationRejected) {
   CliqueEngine engine{{.n = 2}};
-  EXPECT_THROW(engine.round([](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) out.send(5, msg0(0));
   }),
                ProtocolError);
@@ -96,7 +106,8 @@ TEST(Engine, OutOfRangeDestinationRejected) {
 TEST(Engine, RoundOfOnlyListedSendersSend) {
   CliqueEngine engine{{.n = 5}};
   int calls = 0;
-  engine.round_of({1, 3}, [&](VertexId u, Outbox& out) {
+  const std::vector<VertexId> senders{1, 3};
+  engine.round_of_arena(senders, [&](VertexId u, Outbox& out) {
     ++calls;
     out.send(0, msg1(0, u));
   });
@@ -131,21 +142,21 @@ TEST(Engine, PerLinkBudgetAbove16BitsDoesNotWrap) {
   // budget check silently restarted from zero.
   const std::uint32_t budget = 70'000;
   CliqueEngine engine{{.n = 2, .messages_per_link = budget}};
-  auto inbox = engine.round([&](VertexId u, Outbox& out) {
+  const RoundBuffer& arena = engine.round_arena([&](VertexId u, Outbox& out) {
     if (u == 0)
       for (std::uint32_t i = 0; i < budget; ++i) out.send(1, msg0(i));
   });
-  EXPECT_EQ(inbox[1].size(), budget);
+  EXPECT_EQ(arena.inbox(1).size(), budget);
   // One message beyond the budget must still throw (counter reached 70000,
   // not 70000 mod 65536).
-  EXPECT_THROW(engine.round([&](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([&](VertexId u, Outbox& out) {
     if (u == 0)
       for (std::uint32_t i = 0; i <= budget; ++i) out.send(1, msg0(i));
   }),
                ProtocolError);
 }
 
-TEST(Engine, ArenaRoundMatchesLegacyInterface) {
+TEST(Engine, ArenaInboxesFollowSenderOrder) {
   CliqueEngine engine{{.n = 6}};
   const auto& arena = engine.round_arena([](VertexId u, Outbox& out) {
     for (VertexId v = 0; v < 6; ++v)
@@ -165,14 +176,6 @@ TEST(Engine, ArenaRoundMatchesLegacyInterface) {
       EXPECT_EQ(m.word(1), v);
       ++expect_src;
     }
-  }
-  const auto vectors = arena.to_vectors();
-  ASSERT_EQ(vectors.size(), 6u);
-  for (VertexId v = 0; v < 6; ++v) {
-    const auto in = arena.inbox(v);
-    ASSERT_EQ(vectors[v].size(), in.size());
-    for (std::size_t i = 0; i < in.size(); ++i)
-      EXPECT_EQ(vectors[v][i].src, in[i].src);
   }
 }
 
@@ -219,7 +222,7 @@ TEST(Engine, ObserverSeesEveryMessage) {
   CliqueEngine engine{{.n = 3}};
   std::vector<std::pair<VertexId, VertexId>> seen;
   engine.set_observer([&](VertexId s, VertexId d) { seen.push_back({s, d}); });
-  engine.round([](VertexId u, Outbox& out) {
+  engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) out.send(2, msg0(0));
     if (u == 1) out.send(0, msg0(0));
   });

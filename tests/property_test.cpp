@@ -116,7 +116,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, MstGrid, ::testing::ValuesIn(grid()),
 
 TEST(FailureInjection, OverfullOutboxThrowsNotSilentlyDrops) {
   CliqueEngine engine{{.n = 4, .messages_per_link = 2}};
-  EXPECT_THROW(engine.round([](VertexId u, Outbox& out) {
+  EXPECT_THROW(engine.round_arena([](VertexId u, Outbox& out) {
     if (u == 1)
       for (int i = 0; i < 3; ++i) out.send(2, msg0(i));
   }),

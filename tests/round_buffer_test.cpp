@@ -1,7 +1,7 @@
 // Edge-case coverage for the engine's message arena (clique/round_buffer).
 //
 // The parallel engine's determinism proof leans on RoundBuffer reproducing
-// the nested-vector inbox order exactly; these tests pin the boundary
+// the (sender, submission) inbox order exactly; these tests pin the boundary
 // shapes the property/determinism suites rarely hit dead-on: empty rounds,
 // a single sender, fully skewed destination loads, and arena reuse across
 // rounds whose message counts shrink (the capacity-keeping reset path).
@@ -40,16 +40,13 @@ TEST(RoundBuffer, EmptyRoundHasEmptyInboxesEverywhere) {
   EXPECT_EQ(buf.n(), 8u);
   EXPECT_EQ(buf.total_messages(), 0u);
   for (VertexId v = 0; v < 8; ++v) EXPECT_TRUE(buf.inbox(v).empty());
-  const auto vecs = buf.to_vectors();
-  ASSERT_EQ(vecs.size(), 8u);
-  for (const auto& inbox : vecs) EXPECT_TRUE(inbox.empty());
 }
 
 TEST(RoundBuffer, ZeroReceiversIsValid) {
   RoundBuffer buf{0};
   buf.commit_counts();
   EXPECT_EQ(buf.total_messages(), 0u);
-  EXPECT_TRUE(buf.to_vectors().empty());
+  EXPECT_EQ(buf.n(), 0u);
 }
 
 TEST(RoundBuffer, SingleSenderPreservesSubmissionOrder) {

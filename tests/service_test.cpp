@@ -168,6 +168,16 @@ TEST(Service, InvalidEndpointsAlwaysThrow) {
   EXPECT_THROW(service.component_of(16), ServiceError);
 }
 
+TEST(Service, UniverseAboveEngineLimitIsRejected) {
+  // Both constructors check n before allocating anything, so neither case
+  // builds sketches, lanes or a thread pool.
+  EXPECT_THROW(ConnectivityService{small_config(kMaxEngineN + 1)},
+               ServiceError);
+  ServiceSnapshot snap;
+  snap.n = kMaxEngineN + 1;
+  EXPECT_THROW((void)ConnectivityService::restore(snap), ServiceError);
+}
+
 TEST(Service, SerialParallelByteIdentical) {
   const EdgeStream stream = generate_churn_stream(48, 256, 256, 11);
   ServiceConfig config = small_config(48);

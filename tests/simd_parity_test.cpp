@@ -1,8 +1,8 @@
 // SIMD/scalar parity for the sketch kernels (sketch/sketch_kernels).
 //
 // The kernels promise bit-identical results on every dispatch path; the
-// engine-level determinism guarantees (serial == parallel, packed ==
-// unpacked) and the docs' cross-machine reproducibility claim both inherit
+// engine-level determinism guarantees (serial == parallel, delivery ==
+// reference) and the docs' cross-machine reproducibility claim both inherit
 // from it. Each test runs the same inputs through the forced-scalar path
 // and the runtime-dispatched path (AVX2 where the host supports it; on
 // hosts without AVX2 or under -DCLIQUE_NO_SIMD both runs take the scalar

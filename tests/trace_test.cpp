@@ -277,10 +277,10 @@ TEST(Trace, NestedScopesSpanAbsorbedAndSilentSimultaneously) {
   engine.set_trace(&trace);
 
   CliqueEngine sub{{.n = 8}};
-  (void)sub.round([](VertexId u, Outbox& out) {
+  (void)sub.round_arena([](VertexId u, Outbox& out) {
     if (u < 4) out.send(u + 4, msg0(1));
   });
-  (void)sub.round([](VertexId u, Outbox& out) {
+  (void)sub.round_arena([](VertexId u, Outbox& out) {
     if (u == 0) out.send(1, msg0(2));
   });
   const Metrics sub_m = sub.metrics();
@@ -290,14 +290,14 @@ TEST(Trace, NestedScopesSpanAbsorbedAndSilentSimultaneously) {
 
   {
     TraceScope outer{engine, "mixed"};
-    (void)engine.round([](VertexId u, Outbox& out) {
+    (void)engine.round_arena([](VertexId u, Outbox& out) {
       if (u == 0) out.send(7, msg0(3));
     });
     {
       TraceScope inner{engine, "window"};
       engine.skip_silent_rounds(5);
       engine.absorb_virtual(sub_m);
-      (void)engine.round([](VertexId u, Outbox& out) {
+      (void)engine.round_arena([](VertexId u, Outbox& out) {
         if (u < 2) out.send(u + 2, msg0(4));
       });
     }
@@ -355,7 +355,7 @@ TEST(TraceBounds, AggregateTopMostMatchingScopes) {
       TraceScope phase{engine, "phase", k};
       TraceScope merge{engine, "merge"};  // nested: must not double count
       for (std::uint64_t r = 0; r < k; ++r)
-        (void)engine.round([k](VertexId u, Outbox& out) {
+        (void)engine.round_arena([k](VertexId u, Outbox& out) {
           if (u < k) out.send(3, msg0(1));
         });
     }

@@ -5,9 +5,9 @@ include targets) — never raw source lines. Unresolved types ('') never
 fire a rule: the frontends put their imprecision on the false-negative
 side, and the seeded-violation fixtures pin the true-positive floor.
 
-Path allowlists are repo-root-relative '/'-separated prefixes, kept
-byte-compatible with the v1 regex engine (cliquelint_regex.py) so the
-AST-vs-regex regression test can diff findings rule-by-rule.
+Path allowlists are repo-root-relative '/'-separated prefixes; the
+seeded fixtures under tools/cliquelint/fixtures/ pin each rule's
+allowed and forbidden paths.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from clast.model import (FLOAT_TYPES, INT_WIDTHS, OVERWIDE_TYPES,
                          UNORDERED_HEADS, FileModel, Finding, KnowledgeBase)
 
 # ---------------------------------------------------------------------------
-# Allowlists (identical to the v1 regex engine).
+# Allowlists.
 # ---------------------------------------------------------------------------
 
 NONDET_ALLOWED = ("src/util/random", "src/comm/shared_random",

@@ -3,10 +3,10 @@
 
 The test suite certifies the paper's counting claims (rounds, messages,
 bandwidth feasibility; Hegeman et al., PODC'15 Section 1.2) only as long
-as every algorithm module plays by the simulator's rules. v1 enforced
-those rules with line regexes; v2 grounds them in a semantic model
-(clast.FileModel) with resolved receiver types, alias expansion, a real
-include graph, and loop/lambda structure — and adds four rule families
+as every algorithm module plays by the simulator's rules. cliquelint
+grounds those rules in a semantic model (clast.FileModel) with resolved
+receiver types, alias expansion, a real include graph, and loop/lambda
+structure, so it also checks rule families (CL007-CL010) that line
 regexes fundamentally cannot express:
 
   CL001  determinism    nondeterminism sources (rand/srand, RNG engine

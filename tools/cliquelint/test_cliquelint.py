@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Self-test for cliquelint v2: rules, cache, baseline, and regex parity.
+"""Self-test for cliquelint v2: rules, cache and baseline.
 
-Four independent checks, all in-process:
+Three independent checks, all in-process:
 
 1. Seeded fixtures: every file under fixtures/bad/ must be flagged with
    exactly its expected rule (and at least the expected count); every file
@@ -15,10 +15,7 @@ Four independent checks, all in-process:
 3. Baseline: a finding suppressed by fingerprint disappears from the
    active set; an expired suppression stops suppressing and is reported.
 
-4. AST-vs-regex regression: on the current src/ tree, the v2 engine and
-   the v1 regex engine (cliquelint_regex.py) must agree on CL001-CL006
-   finding locations, modulo the documented ALLOWED_DIFFS (cases where
-   the semantic engine is strictly more precise).
+The production scan over src/ is the separate `cliquelint` ctest.
 """
 
 from __future__ import annotations
@@ -32,11 +29,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-import cliquelint_regex  # noqa: E402
 from clast import engine as ce  # noqa: E402
 
 FIXTURES = HERE / "fixtures"
-REPO = HERE.parents[1]
 
 # bad fixture (relative to fixtures/bad) -> (rule, minimum finding count)
 EXPECTED_BAD = {
@@ -65,13 +60,6 @@ EXPECTED_BAD = {
 # Zero-finding participants of multi-file fixtures (the cycle's anchor
 # convention reports once, on the lexicographically smallest member).
 HELPERS = {"src/core/cycle_b.hpp"}
-
-# Documented AST-vs-regex diffs on legacy rules (CL001-CL006) over src/.
-# Each entry: (rule, path-prefix, which-engine-only, why).
-ALLOWED_DIFFS: list[tuple[str, str, str, str]] = [
-    # (none currently: src/ is clean under both engines)
-]
-
 
 def analyze_tree(root: Path, cache: ce.ModelCache | None = None,
                  baseline: ce.Baseline | None = None,
@@ -174,47 +162,11 @@ def check_baseline(failures: list[str]) -> None:
             failures.append("baseline: expired entry not reported")
 
 
-def check_regex_parity(failures: list[str]) -> None:
-    src = REPO / "src"
-    if not src.is_dir():
-        return
-    legacy = {"CL001", "CL002", "CL003", "CL004", "CL005", "CL006"}
-    regex_hits = set()
-    for f in sorted(src.rglob("*")):
-        if f.suffix not in cliquelint_regex.SOURCE_SUFFIXES:
-            continue
-        rel = f.relative_to(REPO).as_posix()
-        for v in cliquelint_regex.lint_file(
-                rel, f.read_text(encoding="utf-8")):
-            if v.rule in legacy:
-                regex_hits.add((v.rule, v.path, v.line))
-    res = analyze_tree(REPO)
-    ast_hits = {(f.rule, f.path, f.line) for f in res.findings
-                if f.rule in legacy}
-
-    def allowed(rule: str, path: str, side: str) -> bool:
-        return any(rule == r and path.startswith(p) and side == s
-                   for (r, p, s, _why) in ALLOWED_DIFFS)
-
-    for (rule, path, line) in sorted(regex_hits - ast_hits):
-        if not allowed(rule, path, "regex-only"):
-            failures.append(
-                f"regex-only finding not reproduced by AST engine: "
-                f"{path}:{line} [{rule}] — add to ALLOWED_DIFFS with a "
-                "justification or fix the AST rule")
-    for (rule, path, line) in sorted(ast_hits - regex_hits):
-        if not allowed(rule, path, "ast-only"):
-            failures.append(
-                f"AST-only finding on a legacy rule: {path}:{line} "
-                f"[{rule}] — add to ALLOWED_DIFFS with a justification")
-
-
 def main() -> int:
     failures: list[str] = []
     check_fixtures(failures)
     check_cache(failures)
     check_baseline(failures)
-    check_regex_parity(failures)
     if failures:
         print("cliquelint selftest FAILED:", file=sys.stderr)
         for f in failures:
@@ -222,7 +174,7 @@ def main() -> int:
         return 1
     print(f"cliquelint selftest: {len(EXPECTED_BAD)} seeded fixtures "
           "caught, ok tree clean, cache warm-path exact, baseline "
-          "suppression + expiry live, AST/regex parity on legacy rules")
+          "suppression + expiry live")
     return 0
 
 

@@ -47,6 +47,8 @@ import re
 import sys
 from pathlib import Path
 
+import splice
+
 # `TraceScope x{engine, "seg"}` or `TraceScope x{trace_ptr, "seg", k}`.
 CONSTRUCT_RE = re.compile(r'\bTraceScope\s+\w+\s*\{[^{}"]*"([^"]+)"')
 # `std::optional<TraceScope> s; s.emplace(engine, "seg")`.
@@ -187,8 +189,8 @@ def main() -> int:
         print(f"check_docs: {bounds_json} registers no bounds "
               "(empty registry?)", file=sys.stderr)
         return 2
-    marked = set(re.findall(r"<!-- BEGIN GENERATED-BOUNDS: (\S+) -->",
-                            experiments_md.read_text(encoding="utf-8")))
+    marked = {b.key for b in splice.parse(experiments_md)
+              if b.kind == "BOUNDS"}
     unmarked = sorted(registered - marked)
     if unmarked:
         print("check_docs: theorem section(s) in bench/baselines/"
@@ -196,8 +198,9 @@ def main() -> int:
               "EXPERIMENTS.md:", file=sys.stderr)
         for section in unmarked:
             print(f"  {section}", file=sys.stderr)
-        print("add a `<!-- BEGIN GENERATED-BOUNDS: <section> -->` block "
-              "and rerun tools/report/theory_check.py", file=sys.stderr)
+        print(f"add a `{splice.begin_marker('BOUNDS', '<section>')}` "
+              "block and rerun tools/report/theory_check.py",
+              file=sys.stderr)
         return 1
 
     # Telemetry: the instrument inventory and the schema-3 key set are the

@@ -17,7 +17,8 @@ into the "Multi-tenant SLOs" section of EXPERIMENTS.md:
      quantity leaking into a canonical artifact);
   3. validate the dumps against the schema-4 rules and the scrape stream
      against the schema-3 rules (validate_ndjson);
-  4. splice the table between the GENERATED-LOADGEN markers:
+  4. splice the table (through splice.py) between the GENERATED-LOADGEN
+     markers:
 
          <!-- BEGIN GENERATED-LOADGEN: loadgen -->
          ...
@@ -29,8 +30,9 @@ Usage:
 
   --build-dir         build tree holding tools/loadgen/loadgen
                       (default: <repo>/build)
-  --check             do not write; exit 1 if the spliced table differs
-                      from a fresh regeneration (the docs freshness gate)
+  --check             do not write; exit 1 with a diff if the spliced
+                      table differs from a fresh regeneration (the docs
+                      freshness gate)
   --determinism-only  run steps 1-3 and stop (the ctest determinism pin;
                       leaves EXPERIMENTS.md untouched)
 
@@ -40,57 +42,32 @@ Exit status: 0 clean/updated, 1 determinism or freshness violation,
 
 from __future__ import annotations
 
-import argparse
-import difflib
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE))
-
-import validate_ndjson  # noqa: E402
-
-REPO = HERE.parents[1]
+import splice
+import validate_ndjson
+from splice import fail, run
 
 # Pinned workload: the acceptance-floor run (>= 4 tenants, >= 2 streams
 # each, >= 10k total requests), small enough for a CI-friendly ctest.
 LOADGEN_ARGS = ["--n", "128", "--tenants", "4", "--streams", "2",
                 "--requests", "1250", "--seed", "42", "--batch", "8"]
 
-BEGIN_MARK = "<!-- BEGIN GENERATED-LOADGEN: loadgen -->"
-END_MARK = "<!-- END GENERATED-LOADGEN -->"
-
-
-def fail(msg: str, code: int = 2) -> None:
-    print(f"loadgen_report: {msg}", file=sys.stderr)
-    sys.exit(code)
-
-
-def run(cmd: list[str]) -> None:
-    result = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True)
-    if result.returncode != 0:
-        fail(f"{Path(cmd[0]).name} exited {result.returncode}\n"
-             f"{result.stderr}", 1)
-
 
 def run_twice(build_dir: Path, tmp: Path) -> Path:
     """Run the pinned workload twice, pin byte-equality of the canonical
     artifacts, validate the NDJSON outputs; return the table path."""
-    loadgen = build_dir / "tools" / "loadgen" / "loadgen"
-    if not loadgen.is_file():
-        fail(f"{loadgen} not found (build the default target first)")
+    loadgen = splice.binary(build_dir, "tools", "loadgen", "loadgen")
     outputs = []
     for tag in ("a", "b"):
         canon = tmp / f"{tag}.canonical.ndjson"
         table = tmp / f"{tag}.table.md"
         events = tmp / f"{tag}.events.ndjson"
         scrapes = tmp / f"{tag}.scrapes.ndjson"
-        run([str(loadgen), *LOADGEN_ARGS,
-             "--canonical-events", str(canon), "--table", str(table),
-             "--events", str(events), "--scrapes", str(scrapes)])
+        run([loadgen, *LOADGEN_ARGS, "--canonical-events", canon,
+             "--table", table, "--events", events, "--scrapes", scrapes])
         outputs.append((canon, table, events, scrapes))
     (canon_a, table_a, events_a, scrapes_a), (canon_b, table_b, _, _) = \
         outputs
@@ -127,39 +104,11 @@ def render_block(table: Path) -> list[str]:
     ]
 
 
-def splice(path: Path, block: list[str], check: bool) -> int:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    try:
-        begin = lines.index(BEGIN_MARK)
-        end = lines.index(END_MARK, begin)
-    except ValueError:
-        fail(f"{path}: GENERATED-LOADGEN markers not found")
-    current = lines[begin + 1:end]
-    if current == block:
-        print(f"loadgen_report: {path.name} SLO table up to date")
-        return 0
-    if check:
-        print(f"loadgen_report: {path.name} SLO table is stale:",
-              file=sys.stderr)
-        for d in difflib.unified_diff(current, block, "committed", "fresh",
-                                      lineterm=""):
-            print(f"  {d}", file=sys.stderr)
-        print("rerun tools/report/loadgen_report.py to refresh",
-              file=sys.stderr)
-        return 1
-    lines[begin + 1:end] = block
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"loadgen_report: updated {path.name}")
-    return 0
-
-
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--build-dir", type=Path, default=REPO / "build")
-    parser.add_argument("--file", type=Path,
-                        default=REPO / "EXPERIMENTS.md")
-    parser.add_argument("--check", action="store_true")
-    parser.add_argument("--determinism-only", action="store_true")
+    parser = splice.arg_parser(__doc__,
+                               "build tree holding tools/loadgen/loadgen")
+    parser.add_argument("--determinism-only", action="store_true",
+                        help="pin determinism only; leave the file alone")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmpdir:
@@ -170,7 +119,8 @@ def main(argv: list[str]) -> int:
                   "valid (determinism pin holds)")
             return 0
         block = render_block(table)
-    return splice(args.file, block, args.check)
+    return splice.splice(args.file, "LOADGEN", {"loadgen": block},
+                         args.check)
 
 
 if __name__ == "__main__":

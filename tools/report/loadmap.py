@@ -13,15 +13,14 @@ renders:
   - an ASCII link-matrix heatmap (senders x receivers, bucketed) — the
     per-link view behind the paper's O(log n)-bits-per-link budget.
 
-The rendered markdown is spliced into EXPERIMENTS.md between
+The rendered markdown fills the EXPERIMENTS.md block
 
     <!-- BEGIN GENERATED-LOAD: quickstart -->
     <!-- END GENERATED-LOAD -->
 
-(distinct from make_experiments.py's GENERATED markers, so the two tools
-never fight over blocks). The run is seeded and the exporter is
-byte-deterministic, so regeneration is stable; --check turns that into the
-same CI freshness gate make_experiments.py provides for the bench tables.
+through splice.py, which owns the marker grammar and the `--check`
+contract. The run is seeded and the exporter is byte-deterministic, so
+regeneration is stable and `--check` is a CI freshness gate.
 
 Usage:
   loadmap.py [--build-dir DIR] [--file EXPERIMENTS.md] [--n N] [--check]
@@ -31,23 +30,16 @@ Exit status: 0 clean/updated, 1 stale or quickstart failure, 2 usage.
 
 from __future__ import annotations
 
-import argparse
-import difflib
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-BEGIN_LINE = "<!-- BEGIN GENERATED-LOAD: quickstart -->"
-END_LINE = "<!-- END GENERATED-LOAD -->"
+import splice
+from splice import fail
+
 SHADES = " .:-=+*#%@"
-
-
-def fail(msg: str, code: int = 2) -> None:
-    print(f"loadmap: {msg}", file=sys.stderr)
-    sys.exit(code)
 
 
 def run_quickstart(binary: Path, n: int, out: Path) -> None:
@@ -55,11 +47,7 @@ def run_quickstart(binary: Path, n: int, out: Path) -> None:
     env["CLIQUE_LOAD"] = str(out)
     env["CLIQUE_LOAD_LINKS"] = "1"
     env.pop("CLIQUE_TRACE", None)
-    result = subprocess.run(
-        [str(binary), str(n), "2", "42"], env=env, cwd=out.parent,
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    if result.returncode != 0:
-        fail(f"quickstart exited {result.returncode}\n{result.stderr}", 1)
+    splice.run([binary, n, "2", "42"], env=env, cwd=out.parent)
 
 
 def parse_ndjson(path: Path) -> dict:
@@ -163,66 +151,21 @@ def render(records: dict, n: int) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--build-dir", type=Path, default=None,
-                        help="build tree with the quickstart binary "
-                             "(default: <repo>/build)")
-    parser.add_argument("--file", type=Path, default=None,
-                        help="experiments file "
-                             "(default: <repo>/EXPERIMENTS.md)")
+    parser = splice.arg_parser(__doc__,
+                               "build tree with the quickstart binary")
     parser.add_argument("--n", type=int, default=64,
                         help="clique size for the profiled run (default 64; "
                              "the link matrix is O(n^2))")
-    parser.add_argument("--check", action="store_true",
-                        help="verify instead of write; exit 1 on any diff")
     args = parser.parse_args(argv)
 
-    repo = Path(__file__).resolve().parents[2]
-    build = (args.build_dir or repo / "build").resolve()
-    exp_file = (args.file or repo / "EXPERIMENTS.md").resolve()
-    binary = build / "examples" / "quickstart"
-    if not binary.is_file():
-        fail(f"quickstart binary not found: {binary} — build it with: "
-             f"cmake --build {build} --target quickstart, then rerun "
-             "python3 tools/report/loadmap.py to regenerate the load block")
-    if not exp_file.is_file():
-        fail(f"no such file: {exp_file}")
-
+    binary = splice.binary(args.build_dir, "examples", "quickstart")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "load.ndjson"
         print(f"loadmap: running quickstart (n={args.n}) ...")
         run_quickstart(binary, args.n, out)
         records = parse_ndjson(out)
-    body = render(records, args.n)
-
-    text = exp_file.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    begins = [i for i, l in enumerate(lines) if l.strip() == BEGIN_LINE]
-    ends = [i for i, l in enumerate(lines) if l.strip() == END_LINE]
-    if len(begins) != 1 or len(ends) != 1 or ends[0] < begins[0]:
-        fail(f"{exp_file.name}: expected exactly one "
-             f"'{BEGIN_LINE}' .. '{END_LINE}' block")
-    new_lines = lines[:begins[0] + 1] + body + lines[ends[0]:]
-    new_text = "\n".join(new_lines) + "\n"
-
-    if args.check:
-        if new_text != text:
-            sys.stderr.writelines(difflib.unified_diff(
-                text.splitlines(keepends=True),
-                new_text.splitlines(keepends=True),
-                fromfile=f"{exp_file.name} (committed)",
-                tofile=f"{exp_file.name} (regenerated)"))
-            fail(f"{exp_file.name} load block is stale — run "
-                 "tools/report/loadmap.py and commit the result", 1)
-        print("loadmap: load block verified up-to-date")
-        return 0
-
-    if new_text != text:
-        exp_file.write_text(new_text, encoding="utf-8")
-        print(f"loadmap: wrote {exp_file.name}")
-    else:
-        print(f"loadmap: {exp_file.name} already up to date")
-    return 0
+    return splice.splice(args.file, "LOAD",
+                         {"quickstart": render(records, args.n)}, args.check)
 
 
 if __name__ == "__main__":

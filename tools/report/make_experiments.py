@@ -10,23 +10,24 @@ tables between marker comments:
     <!-- END GENERATED -->
 
 This tool runs the referenced benches, renders each record as a markdown
-pipe table, and splices it between its markers, so the measured numbers in
-the narrative are reproducible by construction — never hand-edited. The
-benches are deterministic (seeded Rng, exact round accounting), so
-regeneration is byte-identical run-to-run on one machine; `--check` turns
-that into a CI/ctest gate.
+pipe table, and hands the tables to splice.py, which owns the marker
+grammar, the write path and the `--check` contract. The measured numbers in
+the narrative are therefore reproducible by construction — never
+hand-edited. The benches are deterministic (seeded Rng, exact round
+accounting), so regeneration is byte-identical run-to-run on one machine;
+`--check` turns that into a CI/ctest gate.
 
 Usage:
   make_experiments.py [--build-dir DIR] [--file EXPERIMENTS.md]
                       [--only bench_a,bench_b] [--check]
 
-  --build-dir  where the bench binaries live (default: build; binaries are
-               expected at <build-dir>/bench/<name>)
+  --build-dir  where the bench binaries live (default: <repo>/build;
+               binaries are expected at <build-dir>/bench/<name>)
   --only       restrict to these benches (comma-separated or repeated);
                blocks belonging to other benches are left untouched.
                Default: every bench referenced by a marker.
-  --check      do not write; exit 1 if any regenerated block differs from
-               what the file holds (the docs-consistency gate)
+  --check      do not write; exit 1 with a diff if any regenerated block
+               differs from what the file holds (the docs-consistency gate)
 
 Exit status: 0 clean/updated, 1 check failed or a bench self-check failed,
 2 usage/marker errors.
@@ -34,64 +35,24 @@ Exit status: 0 clean/updated, 1 check failed or a bench self-check failed,
 
 from __future__ import annotations
 
-import argparse
-import difflib
 import json
-import re
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-BEGIN_RE = re.compile(
-    r"^<!-- BEGIN GENERATED: (?P<bench>[A-Za-z0-9_]+):(?P<title>.+?) -->$")
-END_LINE = "<!-- END GENERATED -->"
+import splice
+from splice import fail
 
 
-def fail(msg: str, code: int = 2) -> None:
-    print(f"make_experiments: {msg}", file=sys.stderr)
-    sys.exit(code)
-
-
-def find_blocks(lines: list[str]) -> list[dict]:
-    """Locate marker blocks; each is {bench, title, begin, end} line indices
-    (begin/end are the marker lines themselves)."""
-    blocks = []
-    open_block = None
-    for i, line in enumerate(lines):
-        m = BEGIN_RE.match(line.strip())
-        if m:
-            if open_block is not None:
-                fail(f"line {i + 1}: BEGIN GENERATED inside an open block")
-            open_block = {"bench": m.group("bench"),
-                          "title": m.group("title"), "begin": i}
-        elif line.strip() == END_LINE:
-            if open_block is None:
-                fail(f"line {i + 1}: END GENERATED without a BEGIN")
-            open_block["end"] = i
-            blocks.append(open_block)
-            open_block = None
-    if open_block is not None:
-        fail(f"line {open_block['begin'] + 1}: unterminated GENERATED block")
-    return blocks
-
-
-def run_bench(binary: Path, out: Path) -> None:
-    result = subprocess.run(
-        [str(binary), "--json", str(out)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    if result.returncode != 0:
-        fail(f"{binary.name} exited {result.returncode} (bench self-check "
-             f"failed?)\n{result.stderr}", 1)
-
-
-def load_records(ndjson: Path) -> dict:
+def load_records(ndjson: Path) -> dict[str, tuple[list, list]]:
+    """`<bench>:<title>` -> (columns, rows) for every table the bench
+    printed."""
     records = {}
     for line in ndjson.read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
         r = json.loads(line)
-        records[(r["bench"], r["title"])] = (r["columns"], r["rows"])
+        records[f"{r['bench']}:{r['title']}"] = (r["columns"], r["rows"])
     return records
 
 
@@ -106,117 +67,74 @@ def render_table(columns: list[str], rows: list[list[str]]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--build-dir", type=Path, default=None,
-                        help="build tree with bench binaries "
-                             "(default: <repo>/build)")
-    parser.add_argument("--file", type=Path, default=None,
-                        help="experiments file "
-                             "(default: <repo>/EXPERIMENTS.md)")
+    parser = splice.arg_parser(__doc__, "build tree with bench binaries")
     parser.add_argument("--only", action="append", default=None,
                         metavar="BENCHES",
                         help="comma-separated bench names to regenerate")
-    parser.add_argument("--check", action="store_true",
-                        help="verify instead of write; exit 1 on any diff")
     args = parser.parse_args(argv)
 
-    repo = Path(__file__).resolve().parents[2]
-    build = (args.build_dir or repo / "build").resolve()
-    exp_file = (args.file or repo / "EXPERIMENTS.md").resolve()
-    if not exp_file.is_file():
-        fail(f"no such file: {exp_file}")
-
-    text = exp_file.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    blocks = find_blocks(lines)
+    blocks = [b for b in splice.parse(args.file) if b.kind == ""]
     if not blocks:
-        fail(f"{exp_file.name} has no GENERATED blocks")
+        fail(f"{args.file.name} has no GENERATED blocks")
+    for b in blocks:
+        if not b.key.partition(":")[2]:
+            fail(f"{args.file}:{b.begin + 1}: GENERATED key {b.key!r} is "
+                 "not <bench>:<table title>")
+    marked = {b.key.partition(":")[0] for b in blocks}
 
     wanted = None
     if args.only:
         wanted = set()
         for chunk in args.only:
             wanted.update(b for b in chunk.split(",") if b)
-
-    benches = sorted({b["bench"] for b in blocks
-                      if wanted is None or b["bench"] in wanted})
-    if wanted is not None:
-        unknown = wanted - {b["bench"] for b in blocks}
+        unknown = wanted - marked
         if unknown:
             fail(f"--only names without GENERATED blocks: {sorted(unknown)}")
+    benches = sorted(marked if wanted is None else wanted)
     if not benches:
         fail("nothing to regenerate")
 
     records = {}
     with tempfile.TemporaryDirectory() as tmp:
         for bench in benches:
-            binary = build / "bench" / bench
-            if not binary.is_file():
-                fail(f"bench binary not found: {binary} — build it with: "
-                     f"cmake --build {build} --target {bench}")
             out = Path(tmp) / f"{bench}.ndjson"
             print(f"make_experiments: running {bench} ...")
-            run_bench(binary, out)
+            splice.run([splice.binary(args.build_dir, "bench", bench),
+                        "--json", out])
             records.update(load_records(out))
 
-    # Splice bottom-up so earlier indices stay valid.
-    new_lines = list(lines)
-    regenerated = 0
-    for block in sorted(blocks, key=lambda b: -b["begin"]):
-        if wanted is not None and block["bench"] not in wanted:
+    bodies = {}
+    for b in blocks:
+        bench, _, title = b.key.partition(":")
+        if bench not in benches:
             continue
-        key = (block["bench"], block["title"])
-        if key not in records:
-            titles = sorted(t for b, t in records if b == block["bench"])
-            fail(f"{block['bench']} produced no table titled "
-                 f"'{block['title']}'; available: {titles}", 1)
-        columns, rows = records[key]
-        new_lines[block["begin"] + 1:block["end"]] = render_table(columns,
-                                                                  rows)
-        regenerated += 1
+        if b.key not in records:
+            titles = sorted(k.partition(":")[2] for k in records
+                            if k.startswith(bench + ":"))
+            fail(f"{bench} produced no table titled '{title}'; "
+                 f"available: {titles}", 1)
+        bodies[b.key] = render_table(*records[b.key])
 
     # Never skip silently: name every block this invocation left alone and
     # the exact command that regenerates it, so a narrowed --only run can't
     # masquerade as a full refresh.
-    skipped = sorted({b["bench"] for b in blocks
-                      if wanted is not None and b["bench"] not in wanted})
-    for bench in skipped:
+    for bench in sorted(marked - set(benches)):
         print(f"make_experiments: warning: {bench} block(s) left untouched "
               f"(not in --only) — regenerate with: python3 "
               f"tools/report/make_experiments.py --only {bench}",
               file=sys.stderr)
     # ... and the mirror direction: a bench table nothing splices is a
     # measurement the narrative silently omits.
-    referenced = {(b["bench"], b["title"]) for b in blocks}
-    for bench, title in sorted(k for k in records if k not in referenced):
-        print(f"make_experiments: warning: {bench} emitted table "
-              f"'{title}' with no GENERATED block in {exp_file.name} — "
-              f"add '<!-- BEGIN GENERATED: {bench}:{title} -->' / "
-              f"'{END_LINE}' markers to splice it", file=sys.stderr)
+    for key in sorted(set(records) - {b.key for b in blocks}):
+        bench, _, title = key.partition(":")
+        print(f"make_experiments: warning: {bench} emitted table '{title}' "
+              f"with no GENERATED block in {args.file.name} — add "
+              f"'{splice.begin_marker('', key)}' / "
+              f"'{splice.end_marker('')}' markers to splice it",
+              file=sys.stderr)
 
-    new_text = "\n".join(new_lines) + "\n"
-    if args.check:
-        if new_text != text:
-            diff = difflib.unified_diff(
-                text.splitlines(keepends=True),
-                new_text.splitlines(keepends=True),
-                fromfile=f"{exp_file.name} (committed)",
-                tofile=f"{exp_file.name} (regenerated)")
-            sys.stderr.writelines(diff)
-            fail(f"{exp_file.name} is stale: {regenerated} block(s) "
-                 "regenerated with differences — run "
-                 "tools/report/make_experiments.py and commit the result", 1)
-        print(f"make_experiments: {regenerated} block(s) verified "
-              f"up-to-date ({len(benches)} bench(es) run)")
-        return 0
-
-    if new_text != text:
-        exp_file.write_text(new_text, encoding="utf-8")
-        print(f"make_experiments: wrote {exp_file.name} "
-              f"({regenerated} block(s) regenerated)")
-    else:
-        print(f"make_experiments: {exp_file.name} already up to date")
-    return 0
+    return splice.splice(args.file, "", bodies, args.check,
+                         partial=wanted is not None)
 
 
 if __name__ == "__main__":

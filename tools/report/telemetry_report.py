@@ -15,7 +15,8 @@ table in EXPERIMENTS.md:
      canonical snapshot, an unordered container in the exposition path);
   3. validate the NDJSON against the schema-3 rules (validate_ndjson);
   4. render the final scrape's counters and gauges as a markdown table
-     and splice it between the GENERATED-TELEMETRY markers:
+     and splice it (through splice.py) between the GENERATED-TELEMETRY
+     markers:
 
          <!-- BEGIN GENERATED-TELEMETRY: stream_driver -->
          ...
@@ -27,8 +28,9 @@ Usage:
 
   --build-dir         build tree holding tools/stream/{gen_stream,
                       stream_driver} (default: <repo>/build)
-  --check             do not write; exit 1 if the spliced table differs
-                      from a fresh regeneration (the docs freshness gate)
+  --check             do not write; exit 1 with a diff if the spliced
+                      table differs from a fresh regeneration (the docs
+                      freshness gate)
   --determinism-only  run steps 1-3 and stop (the ctest determinism pin;
                       leaves EXPERIMENTS.md untouched)
 
@@ -38,20 +40,14 @@ Exit status: 0 clean/updated, 1 determinism or freshness violation,
 
 from __future__ import annotations
 
-import argparse
-import difflib
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-sys.path.insert(0, str(HERE))
-
-import validate_ndjson  # noqa: E402
-
-REPO = HERE.parents[1]
+import splice
+import validate_ndjson
+from splice import fail, run
 
 # Fixed workload: small enough for a sub-second ctest, large enough that
 # every service instrument moves (inserts, deletes, cancellations,
@@ -59,38 +55,18 @@ REPO = HERE.parents[1]
 GEN_ARGS = ["--n", "128", "--initial", "1024", "--churn", "1024"]
 DRIVER_ARGS = ["--batch", "256"]
 
-BEGIN_MARK = "<!-- BEGIN GENERATED-TELEMETRY: stream_driver -->"
-END_MARK = "<!-- END GENERATED-TELEMETRY -->"
-
-
-def fail(msg: str, code: int = 2) -> None:
-    print(f"telemetry_report: {msg}", file=sys.stderr)
-    sys.exit(code)
-
-
-def run(cmd: list[str]) -> None:
-    result = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True)
-    if result.returncode != 0:
-        fail(f"{Path(cmd[0]).name} exited {result.returncode}\n"
-             f"{result.stderr}", 1)
-
 
 def scrape_twice(build_dir: Path, tmp: Path) -> Path:
     """Generate the workload, replay twice, pin byte-equality; return the
     first run's NDJSON path (validated)."""
-    gen = build_dir / "tools" / "stream" / "gen_stream"
-    driver = build_dir / "tools" / "stream" / "stream_driver"
-    for binary in (gen, driver):
-        if not binary.is_file():
-            fail(f"{binary} not found (build the default target first)")
+    gen = splice.binary(build_dir, "tools", "stream", "gen_stream")
+    driver = splice.binary(build_dir, "tools", "stream", "stream_driver")
     stream = tmp / "churn.stream"
-    run([str(gen), str(stream), *GEN_ARGS])
+    run([gen, stream, *GEN_ARGS])
     outputs = []
     for tag in ("a", "b"):
         nd, prom = tmp / f"{tag}.ndjson", tmp / f"{tag}.prom"
-        run([str(driver), str(stream), *DRIVER_ARGS,
-             "--telemetry", str(nd), "--prom", str(prom)])
+        run([driver, stream, *DRIVER_ARGS, "--telemetry", nd, "--prom", prom])
         outputs.append((nd, prom))
     (nd_a, prom_a), (nd_b, prom_b) = outputs
     for first, second, what in ((nd_a, nd_b, "NDJSON scrape stream"),
@@ -126,39 +102,11 @@ def render_table(ndjson: Path) -> list[str]:
     ]
 
 
-def splice(path: Path, table: list[str], check: bool) -> int:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    try:
-        begin = lines.index(BEGIN_MARK)
-        end = lines.index(END_MARK, begin)
-    except ValueError:
-        fail(f"{path}: GENERATED-TELEMETRY markers not found")
-    current = lines[begin + 1:end]
-    if current == table:
-        print(f"telemetry_report: {path.name} telemetry table up to date")
-        return 0
-    if check:
-        print(f"telemetry_report: {path.name} telemetry table is stale:",
-              file=sys.stderr)
-        for d in difflib.unified_diff(current, table, "committed", "fresh",
-                                      lineterm=""):
-            print(f"  {d}", file=sys.stderr)
-        print("rerun tools/report/telemetry_report.py to refresh",
-              file=sys.stderr)
-        return 1
-    lines[begin + 1:end] = table
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"telemetry_report: updated {path.name}")
-    return 0
-
-
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--build-dir", type=Path, default=REPO / "build")
-    parser.add_argument("--file", type=Path,
-                        default=REPO / "EXPERIMENTS.md")
-    parser.add_argument("--check", action="store_true")
-    parser.add_argument("--determinism-only", action="store_true")
+    parser = splice.arg_parser(
+        __doc__, "build tree holding tools/stream/{gen_stream,stream_driver}")
+    parser.add_argument("--determinism-only", action="store_true",
+                        help="pin determinism only; leave the file alone")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmpdir:
@@ -169,7 +117,8 @@ def main(argv: list[str]) -> int:
                   "valid (determinism pin holds)")
             return 0
         table = render_table(ndjson)
-    return splice(args.file, table, args.check)
+    return splice.splice(args.file, "TELEMETRY", {"stream_driver": table},
+                         args.check)
 
 
 if __name__ == "__main__":

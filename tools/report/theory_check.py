@@ -15,7 +15,7 @@ This tool:
      2x cost regression) — lower bounds skip the drift check, laptop-scale
      runs clear them by orders of magnitude;
   3. renders one "Theory conformance" table per theorem and splices it into
-     EXPERIMENTS.md between marker comments:
+     EXPERIMENTS.md (through splice.py) between marker comments:
 
          <!-- BEGIN GENERATED-BOUNDS: <section> -->
          ... machine-generated table ...
@@ -35,17 +35,13 @@ tables, 2 usage or registry errors.
 
 from __future__ import annotations
 
-import argparse
-import difflib
 import json
 import math
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent.parent
-BEGIN_PREFIX = "<!-- BEGIN GENERATED-BOUNDS: "
-BEGIN_SUFFIX = " -->"
-END_LINE = "<!-- END GENERATED-BOUNDS -->"
+import splice
+from splice import fail
 
 # The only names an `f` formula may use. Logs floor at 1 so tiny n cannot
 # produce zero/negative envelopes.
@@ -60,11 +56,6 @@ FORMULA_ENV = {
     "min": min,
     "max": max,
 }
-
-
-def fail(msg: str, code: int = 2) -> None:
-    print(f"theory_check: {msg}", file=sys.stderr)
-    sys.exit(code)
 
 
 def eval_formula(f: str, **values: float) -> float:
@@ -89,7 +80,8 @@ def load_sweep(sweep_dir: Path) -> list[dict]:
     points = []
     for path in sorted(sweep_dir.glob("*.ndjson")):
         point = {"file": path.name, "bounds": {}}
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
@@ -202,86 +194,21 @@ def render_section(section: str, results: list[dict]) -> list[str]:
     return lines
 
 
-def splice(file: Path, tables: dict[str, list[str]], check: bool) -> int:
-    lines = file.read_text().splitlines()
-    blocks = []
-    open_block = None
-    for i, line in enumerate(lines):
-        stripped = line.strip()
-        if stripped.startswith(BEGIN_PREFIX) and stripped.endswith(BEGIN_SUFFIX):
-            if open_block is not None:
-                fail(f"{file}:{i + 1}: BEGIN GENERATED-BOUNDS inside an "
-                     f"open block")
-            section = stripped[len(BEGIN_PREFIX):-len(BEGIN_SUFFIX)].strip()
-            open_block = {"section": section, "begin": i}
-        elif stripped == END_LINE:
-            if open_block is None:
-                fail(f"{file}:{i + 1}: END GENERATED-BOUNDS without a BEGIN")
-            open_block["end"] = i
-            blocks.append(open_block)
-            open_block = None
-    if open_block is not None:
-        fail(f"{file}: unterminated GENERATED-BOUNDS block "
-             f"(line {open_block['begin'] + 1})")
-
-    marker_sections = {b["section"] for b in blocks}
-    missing = sorted(set(tables) - marker_sections)
-    if missing:
-        fail(f"{file}: no GENERATED-BOUNDS markers for section(s) "
-             f"{', '.join(missing)} — every theorem in bounds.json needs a "
-             f"conformance table")
-    orphaned = sorted(marker_sections - set(tables))
-    if orphaned:
-        fail(f"{file}: GENERATED-BOUNDS marker(s) {', '.join(orphaned)} "
-             f"have no bounds.json entries")
-
-    new_lines = []
-    cursor = 0
-    for block in blocks:
-        new_lines.extend(lines[cursor:block["begin"] + 1])
-        new_lines.extend(tables[block["section"]])
-        cursor = block["end"]
-    new_lines.extend(lines[cursor:])
-    new_text = "\n".join(new_lines) + "\n"
-    old_text = "\n".join(lines) + "\n"
-
-    if new_text == old_text:
-        print(f"theory_check: {file} up to date "
-              f"({len(blocks)} conformance tables)")
-        return 0
-    if check:
-        sys.stderr.writelines(difflib.unified_diff(
-            old_text.splitlines(keepends=True),
-            new_text.splitlines(keepends=True),
-            fromfile=str(file), tofile=f"{file} (regenerated)"))
-        print(f"theory_check: {file} is stale — run "
-              f"`python3 tools/report/theory_check.py` after regenerating "
-              f"the sweep", file=sys.stderr)
-        return 1
-    file.write_text(new_text)
-    print(f"theory_check: updated {file} ({len(blocks)} conformance tables)")
-    return 0
-
-
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--build-dir", default="build")
-    parser.add_argument("--sweep-dir", default=None,
+    parser = splice.arg_parser(__doc__, "build tree holding the sweep")
+    parser.add_argument("--sweep-dir", type=Path, default=None,
                         help="sweep NDJSON dir (default: <build-dir>/sweep)")
-    parser.add_argument("--bounds", default=str(
-        REPO / "bench" / "baselines" / "bounds.json"))
-    parser.add_argument("--file", default=str(REPO / "EXPERIMENTS.md"))
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--check", action="store_true",
-                      help="verify tables are fresh; exit 1 on any diff")
-    mode.add_argument("--verify-only", action="store_true",
-                      help="evaluate envelopes only; never touch the file")
+    parser.add_argument("--bounds", type=Path,
+                        default=splice.REPO / "bench/baselines/bounds.json")
+    parser.add_argument("--verify-only", action="store_true",
+                        help="evaluate envelopes only; never touch the file")
     args = parser.parse_args(argv)
+    if args.check and args.verify_only:
+        parser.error("--check and --verify-only are mutually exclusive")
 
-    sweep_dir = Path(args.sweep_dir) if args.sweep_dir else \
-        Path(args.build_dir) / "sweep"
+    sweep_dir = args.sweep_dir or args.build_dir / "sweep"
     try:
-        registry = json.loads(Path(args.bounds).read_text())
+        registry = json.loads(args.bounds.read_text(encoding="utf-8"))
     except FileNotFoundError:
         fail(f"{args.bounds} not found")
     except json.JSONDecodeError as e:
@@ -326,7 +253,7 @@ def main(argv: list[str]) -> int:
         return 0
     tables = {section: render_section(section, results)
               for section, results in sections.items()}
-    return splice(Path(args.file), tables, args.check)
+    return splice.splice(args.file, "BOUNDS", tables, args.check)
 
 
 if __name__ == "__main__":

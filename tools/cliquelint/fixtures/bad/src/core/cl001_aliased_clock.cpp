@@ -1,6 +1,6 @@
-// Seeded CL001 violation the regex engine cannot see: the chrono clock is
+// Seeded CL001 violation a token regex cannot see: the chrono clock is
 // hidden behind a `using` alias, so no *_clock::now() token ever appears.
-// The AST engine expands the alias before matching.
+// cliquelint expands the alias before matching.
 #include <chrono>
 #include <cstdint>
 
